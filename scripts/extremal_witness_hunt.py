@@ -7,7 +7,7 @@ The second search settles whether a single isomorphism class realizes the
 bound there (expected count: 1).  Both runs honor a wall-clock budget and
 report partial results honestly instead of overrunning.
 
-Usage: python scripts/extremal_witness_hunt.py [--budget 3600] [--threads N]
+Usage: python scripts/extremal_witness_hunt.py [--budget 3600]
 """
 
 import argparse
@@ -25,7 +25,6 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--budget", type=float, default=3600.0,
                         help="wall-clock seconds per search")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--progress", action="store_true")
     args = parser.parse_args()
 
@@ -37,8 +36,7 @@ def main() -> int:
 
     t0 = time.time()
     result = max_umd_bipartite_size(
-        9, 3, budget=args.budget, collect_witnesses=False,
-        threads=args.threads, progress=progress,
+        9, 3, budget=args.budget, collect_witnesses=False, progress=progress,
     )
     status = "complete" if result.complete else "PARTIAL (budget hit)"
     print(f"(9,3) exhaustive max: {result.max_size}  expected {n3g_bound(3)}  "
@@ -50,7 +48,7 @@ def main() -> int:
 
     t0 = time.time()
     outcome = count_extremal_witnesses(
-        10, 3, 15, budget=args.budget, threads=args.threads, progress=progress,
+        10, 3, 15, budget=args.budget, progress=progress,
     )
     status = "complete" if outcome.complete else "PARTIAL (budget hit)"
     print(f"(10,3,15) witness classes: {outcome.count}  "

@@ -5,7 +5,7 @@ For each order the exhaustive maximum over isolated-free bipartite graphs
 with a unique minimum dominating set is compared against the closed-form
 bound; the two provably coincide for n = 6, 7, 8.
 
-Usage: python scripts/tightness_check.py [--n-max 8] [--threads N]
+Usage: python scripts/tightness_check.py [--n-max 8]
 """
 
 import argparse
@@ -18,7 +18,6 @@ from unidom import bipartite_bound, max_umd_bipartite_size
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     print(f"{'n':>3} {'bound':>6} {'search max':>10} {'witness classes':>16} "
@@ -26,7 +25,7 @@ def main() -> int:
     ok = True
     for n in range(6, args.n_max + 1):
         t0 = time.time()
-        result = max_umd_bipartite_size(n, 2, threads=args.threads)
+        result = max_umd_bipartite_size(n, 2)
         bound = bipartite_bound(n, 2)
         agree = result.max_size == bound
         ok = ok and agree and result.complete

@@ -59,7 +59,6 @@ from .graph import (
 )
 from .search import (
     SearchResult,
-    WitnessCount,
     count_extremal_witnesses,
     max_umd_bipartite_size,
     verify_forest_lemma,

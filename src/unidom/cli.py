@@ -220,22 +220,15 @@ def cmd_search(args) -> int:
     if args.size is None:
         result = max_umd_bipartite_size(
             args.n, args.gamma, budget=args.budget,
-            collect_witnesses=args.witnesses is not None,
-            threads=args.threads, progress=reporter,
+            collect_witnesses=args.witnesses is not None, progress=reporter,
         )
-        doc = result.to_json()
-        witnesses = result.witnesses
-        complete = result.complete
     else:
-        outcome = count_extremal_witnesses(
-            args.n, args.gamma, args.size, budget=args.budget,
-            threads=args.threads, progress=reporter,
+        result = count_extremal_witnesses(
+            args.n, args.gamma, args.size, budget=args.budget, progress=reporter,
         )
-        doc = outcome.to_json()
-        witnesses = outcome.witnesses
-        complete = outcome.complete
+    doc = result.to_json()
     if args.witnesses:
-        Path(args.witnesses).write_text("".join(w + "\n" for w in witnesses))
+        Path(args.witnesses).write_text("".join(w + "\n" for w in result.witnesses))
     if args.json:
         print(json.dumps(doc))
     else:
@@ -243,7 +236,7 @@ def cmd_search(args) -> int:
             if key in ("schema", "kind", "witnesses"):
                 continue
             print(f"{key}\t{value}")
-    return EXIT_OK if complete else EXIT_BUDGET
+    return EXIT_OK if result.complete else EXIT_BUDGET
 
 
 def cmd_complement(args) -> int:
@@ -279,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--n-to", type=int, default=None, help="sweep n up to this value")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--tsv", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("construct", help="build an extremal family member")
@@ -311,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, help="seconds of wall clock")
     p.add_argument("--witnesses", default=None,
                    help="write witness graph6 lines to this file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: UNIDOM_THREADS or 1)")
     p.add_argument("--progress", action="store_true",
                    help="log 'scanned=N best=S' lines to stderr")
     p.add_argument("--json", action="store_true")

@@ -14,11 +14,10 @@ from typing import Optional
 
 from .bounds import phi
 from .domination import (
+    _perfect_domination,
     closed_neighborhoods_disjoint,
-    domination_number,
     exterior_private_neighbors,
     is_dominating,
-    is_perfectly_dominated,
     is_umd,
 )
 from .graph import Bipartition, Graph, bit_list, check_bipartition, from_edge_list, mask_of
@@ -260,10 +259,12 @@ def verify_construction(g: Graph, layout: ConstructionLayout,
     dominates = is_dominating(g, intended)
     checks["intended_set_dominates"] = CheckResult(dominates, True, dominates)
 
-    gamma = domination_number(g)
+    # one solve settles gamma and uniqueness; the intended set is then
+    # minimum exactly when it dominates and has gamma vertices
+    report = is_umd(g)
+    gamma = report.gamma
     checks["gamma"] = CheckResult(gamma == want_gamma, want_gamma, gamma)
 
-    report = is_umd(g)
     checks["unique_minimum_dominating_set"] = CheckResult(report.unique, True, report.unique)
 
     match = report.unique and report.min_sets == [intended]
@@ -271,10 +272,7 @@ def verify_construction(g: Graph, layout: ConstructionLayout,
         match, bit_list(intended), [bit_list(s) for s in report.min_sets]
     )
 
-    if dominates and gamma == want_gamma:
-        perfect = is_perfectly_dominated(g, intended)
-    else:
-        perfect = False
+    perfect = dominates and gamma == want_gamma and _perfect_domination(g, intended)
     checks["perfectly_dominated"] = CheckResult(perfect, True, perfect)
 
     disjoint = closed_neighborhoods_disjoint(g, intended)

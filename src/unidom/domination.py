@@ -170,17 +170,14 @@ def check_epn_condition(g: Graph, d: int) -> bool:
     )
 
 
-def is_perfectly_dominated(g: Graph, d: int) -> bool:
-    """Degree-sum test for perfect domination by a minimum dominating set ``d``.
+def _perfect_domination(g: Graph, d: int) -> bool:
+    """Perfect-domination test for ``d``, already known to be a minimum
+    dominating set.
 
     Checks sum(deg(x) for x in d) == n - |d| and cross-checks the equivalent
     formulation (d independent, every outside vertex adjacent to exactly one
     member of d); the two must agree.
     """
-    if not is_dominating(g, d):
-        raise ValueError("set does not dominate the graph")
-    if d.bit_count() != domination_number(g):
-        raise ValueError("set is not a minimum dominating set")
     degree_form = sum(g.degree(v) for v in iter_bits(d)) == g.n - d.bit_count()
     independent = all(not g.adj[v] & d for v in iter_bits(d))
     one_dominator = all(
@@ -190,6 +187,19 @@ def is_perfectly_dominated(g: Graph, d: int) -> bool:
     if degree_form != structural_form:
         raise AssertionError("perfect-domination formulations disagree")
     return degree_form
+
+
+def is_perfectly_dominated(g: Graph, d: int) -> bool:
+    """Degree-sum test for perfect domination by a minimum dominating set ``d``.
+
+    Raises ValueError unless ``d`` dominates ``g`` and has domination-number
+    size; see ``_perfect_domination`` for the test itself.
+    """
+    if not is_dominating(g, d):
+        raise ValueError("set does not dominate the graph")
+    if d.bit_count() != domination_number(g):
+        raise ValueError("set is not a minimum dominating set")
+    return _perfect_domination(g, d)
 
 
 def closed_neighborhoods_disjoint(g: Graph, d: int) -> bool:
@@ -246,5 +256,5 @@ def is_umd(g: Graph) -> DominationReport:
         report.epn_condition_met = all(
             m.bit_count() >= 2 for m in report.epn_by_dominator.values()
         )
-        report.perfectly_dominated = is_perfectly_dominated(g, d)
+        report.perfectly_dominated = _perfect_domination(g, d)
     return report

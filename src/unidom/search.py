@@ -8,19 +8,16 @@ k <= n/2, and both quantities computed here (maximum size, set of
 isomorphism classes) are invariant under relabeling.  The coverage
 bookkeeping below is asserted against that reduced space.
 
-Work is split into (side size, edge count) blocks processed from dense to
-sparse so the best-so-far size prunes whole blocks; blocks share only the
-immutable parameters and the guarded best value, so any number of workers
-may process them.
+Work is split into (side size, edge count) blocks.  One sequential driver
+serves both searches: the maximum search lists every block from dense to
+sparse so the best size found so far prunes whole blocks, and the witness
+count lists the blocks of one edge count.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional
@@ -33,15 +30,14 @@ HARD_CAP = 10
 _CHECK_EVERY = 4096
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("UNIDOM_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 @dataclass
 class SearchResult:
+    """Outcome of a maximum search, or of a witness count when ``size`` is set.
+
+    ``max_size`` is the largest size with a witness (None when there is
+    none); ``witnesses`` holds one graph6 line per isomorphism class at it.
+    """
+
     n: int
     gamma: int
     max_size: Optional[int]
@@ -49,40 +45,22 @@ class SearchResult:
     graphs_scanned: int
     elapsed: float
     complete: bool
+    size: Optional[int] = None
+
+    @property
+    def count(self) -> int:
+        return len(self.witnesses)
 
     def to_json(self) -> dict:
+        if self.size is None:
+            head = {"kind": "search", "n": self.n, "gamma": self.gamma,
+                    "max_size": self.max_size}
+        else:
+            head = {"kind": "witness_count", "n": self.n, "gamma": self.gamma,
+                    "size": self.size, "count": self.count}
         return {
             "schema": "unidom/1",
-            "kind": "search",
-            "n": self.n,
-            "gamma": self.gamma,
-            "max_size": self.max_size,
-            "witnesses": self.witnesses,
-            "graphs_scanned": self.graphs_scanned,
-            "elapsed": self.elapsed,
-            "complete": self.complete,
-        }
-
-
-@dataclass
-class WitnessCount:
-    n: int
-    gamma: int
-    size: int
-    count: int
-    witnesses: list[str]
-    graphs_scanned: int
-    elapsed: float
-    complete: bool
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "unidom/1",
-            "kind": "witness_count",
-            "n": self.n,
-            "gamma": self.gamma,
-            "size": self.size,
-            "count": self.count,
+            **head,
             "witnesses": self.witnesses,
             "graphs_scanned": self.graphs_scanned,
             "elapsed": self.elapsed,
@@ -168,15 +146,6 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
     return found, visited, False
 
 
-@dataclass
-class _SharedState:
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    best: int = -1
-    scanned: int = 0
-    classes: list[tuple[str, Graph]] = field(default_factory=list)
-    timed_out: bool = False
-
-
 def _merge_classes(classes: list[tuple[str, Graph]],
                    found: list[tuple[str, Graph]]) -> None:
     for g6, g in found:
@@ -184,41 +153,70 @@ def _merge_classes(classes: list[tuple[str, Graph]],
             classes.append((g6, g))
 
 
-def _run_blocks(blocks: list, handler: Callable, threads: int) -> None:
-    """Drain the block queue with ``threads`` workers; handler returns False
-    to stop issuing further work (budget exhausted)."""
-    pending = deque(blocks)
-    if threads <= 1:
-        while pending:
-            if not handler(pending.popleft()):
-                break
-        return
-    guard = threading.Lock()
-    stop = threading.Event()
+def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
+            budget: Optional[float], *, stop_on_first: bool,
+            progress: Optional[Callable[[int, int], None]],
+            size: Optional[int] = None) -> SearchResult:
+    """Scan ``blocks`` in order, keeping the witness classes of the largest
+    size seen.  Blocks below that size are skipped, and with
+    ``stop_on_first`` so are blocks at it."""
+    start = time.monotonic()
+    deadline = start + budget if budget is not None else None
+    best = -1
+    scanned = 0
+    classes: list[tuple[str, Graph]] = []
+    complete = True
+    for k, s in blocks:
+        block_size = comb(k * (n - k), s)
+        if s < best or (stop_on_first and s == best):
+            scanned += block_size
+        else:
+            found, visited, timed_out = _scan_block(
+                n, k, s, gamma, stop_on_first=stop_on_first, deadline=deadline,
+            )
+            if timed_out:
+                scanned += visited
+                complete = False
+            else:
+                # a block aborted after its first find still counts in full:
+                # its remaining masks share the same size and cannot move the max
+                scanned += block_size
+            if found:
+                if s > best:
+                    best = s
+                    classes = []
+                _merge_classes(classes, found)
+        if progress:
+            progress(scanned, best)
+        if not complete:
+            break
 
-    def worker():
-        while not stop.is_set():
-            with guard:
-                if not pending:
-                    return
-                block = pending.popleft()
-            if not handler(block):
-                stop.set()
+    space = sum(comb(k * (n - k), s) for k, s in blocks)
+    if complete and scanned != space:
+        raise AssertionError(
+            f"coverage bookkeeping off: scanned {scanned}, space {space}"
+        )
+    return SearchResult(
+        n=n,
+        gamma=gamma,
+        max_size=best if best >= 0 else None,
+        witnesses=sorted(g6 for g6, _ in classes),
+        graphs_scanned=scanned,
+        elapsed=time.monotonic() - start,
+        complete=complete,
+        size=size,
+    )
 
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
 
-
-def _reduced_space_size(n: int) -> int:
-    return sum(1 << (k * (n - k)) for k in range(n // 2 + 1))
+def _check_order(n: int, gamma: int) -> None:
+    if not 1 <= n <= HARD_CAP:
+        raise ValueError(f"order must be between 1 and {HARD_CAP}")
+    if gamma < 2:
+        raise ValueError("search requires gamma >= 2")
 
 
 def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *,
                            collect_witnesses: bool = True,
-                           threads: Optional[int] = None,
                            progress: Optional[Callable[[int, int], None]] = None,
                            ) -> SearchResult:
     """Exact maximum size over all isolated-vertex-free bipartite graphs of
@@ -227,123 +225,27 @@ def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *
 
     ``budget`` is a wall-clock limit in seconds; when it runs out the result
     comes back with ``complete=False`` and the best value seen so far.
+    ``progress`` is called after every block with the masks scanned so far
+    and the best size (-1 while no witness is known).
     """
-    if not 1 <= n <= HARD_CAP:
-        raise ValueError(f"order must be between 1 and {HARD_CAP}")
-    if gamma < 2:
-        raise ValueError("search requires gamma >= 2")
-    start = time.monotonic()
-    deadline = start + budget if budget is not None else None
-    state = _SharedState()
-    nthreads = _thread_count(threads)
-
-    blocks = []
-    for k in range(n // 2 + 1):
-        cells = k * (n - k)
-        blocks.extend((k, s) for s in range(cells, -1, -1))
-
-    def handle(block) -> bool:
-        k, s = block
-        cells = k * (n - k)
-        block_size = comb(cells, s)
-        with state.lock:
-            skip = s < state.best if collect_witnesses else s <= state.best
-            if skip:
-                state.scanned += block_size
-                if progress:
-                    progress(state.scanned, state.best)
-                return True
-        found, visited, timed_out = _scan_block(
-            n, k, s, gamma,
-            stop_on_first=not collect_witnesses,
-            deadline=deadline,
-        )
-        with state.lock:
-            if timed_out:
-                state.scanned += visited
-                state.timed_out = True
-            else:
-                # a block aborted after its first find still counts in full:
-                # its remaining masks share the same size and cannot move the max
-                state.scanned += block_size
-            if found:
-                if s > state.best:
-                    state.best = s
-                    state.classes = []
-                if s == state.best:
-                    _merge_classes(state.classes, found)
-            if progress:
-                progress(state.scanned, state.best)
-        return not timed_out
-
-    _run_blocks(blocks, handle, nthreads)
-
-    complete = not state.timed_out
-    if complete and state.scanned != _reduced_space_size(n):
-        raise AssertionError(
-            f"coverage bookkeeping off: scanned {state.scanned}, "
-            f"space {_reduced_space_size(n)}"
-        )
-    witnesses = sorted(g6 for g6, _ in state.classes)
-    return SearchResult(
-        n=n,
-        gamma=gamma,
-        max_size=state.best if state.best >= 0 else None,
-        witnesses=witnesses,
-        graphs_scanned=state.scanned,
-        elapsed=time.monotonic() - start,
-        complete=complete,
-    )
+    _check_order(n, gamma)
+    blocks = [(k, s) for k in range(n // 2 + 1) for s in range(k * (n - k), -1, -1)]
+    return _search(n, gamma, blocks, budget,
+                   stop_on_first=not collect_witnesses, progress=progress)
 
 
 def count_extremal_witnesses(n: int, gamma: int, size: int,
                              budget: Optional[float] = None, *,
-                             threads: Optional[int] = None,
                              progress: Optional[Callable[[int, int], None]] = None,
-                             ) -> WitnessCount:
+                             ) -> SearchResult:
     """Count isomorphism classes of bipartite graphs with the given order,
     domination number, unique minimum dominating set, and exact size."""
-    if not 1 <= n <= HARD_CAP:
-        raise ValueError(f"order must be between 1 and {HARD_CAP}")
-    if gamma < 2:
-        raise ValueError("search requires gamma >= 2")
+    _check_order(n, gamma)
     if size < 0:
         raise ValueError("size must be nonnegative")
-    start = time.monotonic()
-    deadline = start + budget if budget is not None else None
-    state = _SharedState()
-    nthreads = _thread_count(threads)
-
     blocks = [(k, size) for k in range(n // 2 + 1) if size <= k * (n - k)]
-
-    def handle(block) -> bool:
-        k, s = block
-        found, visited, timed_out = _scan_block(
-            n, k, s, gamma, stop_on_first=False, deadline=deadline,
-        )
-        with state.lock:
-            state.scanned += visited
-            if timed_out:
-                state.timed_out = True
-            if found:
-                _merge_classes(state.classes, found)
-            if progress:
-                progress(state.scanned, s)
-        return not timed_out
-
-    _run_blocks(blocks, handle, nthreads)
-
-    witnesses = sorted(g6 for g6, _ in state.classes)
-    return WitnessCount(
-        n=n,
-        gamma=gamma,
-        size=size,
-        count=len(state.classes),
-        witnesses=witnesses,
-        graphs_scanned=state.scanned,
-        elapsed=time.monotonic() - start,
-        complete=not state.timed_out,
-    )
+    return _search(n, gamma, blocks, budget,
+                   stop_on_first=False, progress=progress, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from unidom import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
 from unidom.cli import main
 from unidom.schema import validate_document
@@ -190,14 +192,18 @@ class TestSearchCommand:
         assert "scanned=" in err and "best=" in err
 
     def test_count_mode(self, capsys):
-        code, out, _ = run(
-            capsys, ["search", "--n", "6", "--gamma", "2", "--size", "7", "--json"]
+        code, out, err = run(
+            capsys,
+            ["search", "--n", "6", "--gamma", "2", "--size", "7", "--json", "--progress"],
         )
         assert code == 0
         doc = json.loads(out)
         assert validate_document(doc) == []
         assert doc["kind"] == "witness_count"
         assert doc["count"] == 0
+        # best is the largest size with a witness so far, -1 with none
+        lines = err.splitlines()
+        assert lines and all(line.endswith(" best=-1") for line in lines)
 
     def test_budget_exit_code(self, capsys):
         code, out, _ = run(
@@ -223,6 +229,15 @@ class TestSearchCommand:
         assert lines
         for line in lines:
             assert parse_graph6(line).size() == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n", "10", "--gamma", "3", "--tsv"],
+    ["search", "--n", "6", "--gamma", "2", "--threads", "2"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, _, _ = run(capsys, argv)
+    assert code == 2
 
 
 class TestComplementCommand:

@@ -196,6 +196,23 @@ class TestVerifyConstruction:
         assert not cert.passed
         assert "minimum_set_is_intended" in cert.failures()
 
+    def test_one_gamma_solve_per_certificate(self, monkeypatch):
+        import unidom.construct
+        import unidom.domination
+
+        solve = unidom.domination.domination_number
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return solve(g)
+
+        monkeypatch.setattr(unidom.domination, "domination_number", counted)
+        monkeypatch.setattr(unidom.construct, "domination_number", counted, raising=False)
+        g, layout = construct_bipartite(12, 3)
+        assert verify_construction(g, layout, bipartite_bound(12, 3)).passed
+        assert calls == [12]
+
     def test_certificate_json_shape(self):
         g, layout = construct_bipartite(6, 2)
         doc = verify_construction(g, layout, 6).to_json()

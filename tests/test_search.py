@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from unidom import (
@@ -11,7 +13,11 @@ from unidom import (
     parse_graph6,
     verify_forest_lemma,
 )
-from unidom.search import _reduced_space_size
+
+
+def _reduced_space_size(n):
+    # every k x (n-k) cross-edge mask for each small side k <= n/2
+    return sum(1 << (k * (n - k)) for k in range(n // 2 + 1))
 
 
 class TestMaxSearch:
@@ -60,13 +66,6 @@ class TestMaxSearch:
         assert fast.complete
         assert fast.graphs_scanned == _reduced_space_size(7)
 
-    def test_threads_agree_with_sequential(self):
-        seq = max_umd_bipartite_size(7, 2)
-        par = max_umd_bipartite_size(7, 2, threads=4)
-        assert par.max_size == seq.max_size
-        assert par.complete
-        assert sorted(par.witnesses) == sorted(seq.witnesses)
-
     def test_budget_zero_truncates(self):
         result = max_umd_bipartite_size(8, 2, budget=0.0)
         assert not result.complete
@@ -109,6 +108,8 @@ class TestWitnessCount:
         outcome = count_extremal_witnesses(7, 2, 9)
         assert outcome.count == len(outcome.witnesses)
         assert outcome.count >= 1
+        # coverage: every mask of the size-9 block of each side size
+        assert outcome.graphs_scanned == sum(comb(k * (7 - k), 9) for k in range(4))
 
     def test_budget_zero_truncates(self):
         outcome = count_extremal_witnesses(8, 2, 12, budget=0.0)
