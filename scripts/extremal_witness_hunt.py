@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Long-form exhaustive confirmations at the edge of what pure enumeration
-can reach: the n = 3*gamma maximum at (9, 3) and the number of extremal
-witnesses at (10, 3) with 15 edges.
+"""Exhaustive confirmations of the n = 3*gamma maximum at (9, 3) and of the
+number of extremal witnesses at (10, 3) with 15 edges.
 
 The second search settles whether a single isomorphism class realizes the
 bound there (expected count: 1).  Both runs honor a wall-clock budget and

@@ -257,6 +257,7 @@ def emit_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse an ``n m`` header followed by exactly m distinct ``u v`` lines."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -265,14 +266,19 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError("edge-list header must be 'n m'")
     n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 < m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    if len(lines) - 1 != m:
+        raise ValueError(f"header declares {m} edges, found {len(lines) - 1} edge lines")
     edges = []
-    for ln in lines[1:m + 1]:
+    seen = set()
+    for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        if frozenset((u, v)) in seen:
+            raise ValueError(f"edge {u} {v} is listed twice")
+        seen.add(frozenset((u, v)))
+        edges.append((u, v))
     return from_edge_list(n, edges)
 
 

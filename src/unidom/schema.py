@@ -69,6 +69,15 @@ def _validate_bound_row(row, problems: list[str]) -> None:
          "vizing must be an int or 'p/q' string")
 
 
+def _validate_scan_counts(doc, problems: list[str]) -> None:
+    scanned, visited = doc.get("graphs_scanned"), doc.get("masks_visited")
+    ok = _err(problems, isinstance(scanned, int), "graphs_scanned must be an int")
+    ok = _err(problems, isinstance(visited, int), "masks_visited must be an int") and ok
+    if ok:
+        _err(problems, 0 <= visited <= scanned,
+             "masks_visited must lie between 0 and graphs_scanned")
+
+
 def validate_document(doc) -> list[str]:
     """Validate any top-level CLI JSON document; [] means valid."""
     problems: list[str] = []
@@ -102,13 +111,13 @@ def validate_document(doc) -> list[str]:
         ms = doc.get("max_size")
         _err(problems, ms is None or isinstance(ms, int), "max_size must be int or null")
         _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
-        _err(problems, isinstance(doc.get("graphs_scanned"), int),
-             "graphs_scanned must be an int")
+        _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
     elif kind == "witness_count":
-        for key in ("n", "gamma", "size", "count", "graphs_scanned"):
+        for key in ("n", "gamma", "size", "count"):
             _err(problems, isinstance(doc.get(key), int), f"{key} must be an int")
         _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
+        _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
     elif kind == "iso":
         _err(problems, isinstance(doc.get("isomorphic"), bool),

@@ -1,33 +1,40 @@
 """Exhaustive enumeration oracles over small bipartite graphs.
 
-The searches here are independent of the closed-form bounds: they iterate
-raw cross-edge masks, filter with the exact solver, and report what they
-find.  Side assignments are deduplicated up to relabeling: every bipartite
-graph on n vertices can be relabeled so one side is {0..k-1} with
-k <= n/2, and both quantities computed here (maximum size, set of
-isomorphism classes) are invariant under relabeling.  The coverage
-bookkeeping below is asserted against that reduced space.
+The searches here are independent of the closed-form bounds: they generate
+bipartite graphs, filter them with the exact solver, and report what they
+find.  Every bipartite graph on n vertices can be relabeled so one side is
+{0..k-1} with k <= n/2, and the other side's vertices can be permuted
+freely too.  Both quantities computed here (maximum size, set of
+isomorphism classes) are invariant under relabeling, so each side split
+enumerates only the k x (n-k) biadjacency matrices in double-lex form: rows
+nonincreasing, columns ordered lexicographically.  Every 0/1 matrix has a
+row and column permutation of that form (Lubiw, "Doubly lexical orderings
+of matrices", 1987), so no graph is missed; witnesses are still merged into
+classes by isomorphism, since several double-lex matrices can describe the
+same graph.  The tests check this enumeration against the unreduced scan
+of every labeled mask for all small orders.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
 serves both searches: the maximum search lists every block from dense to
 sparse so the best size found so far prunes whole blocks, and the witness
-count lists the blocks of one edge count.
+count lists the blocks of one edge count.  ``graphs_scanned`` reports the
+labeled masks of the side-fixed space that a run accounts for, and
+``masks_visited`` the double-lex matrices it actually visited.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .bounds import min_forest_edges
 from .domination import _enumerate_covers, _exists_cover
 from .graph import Graph, are_isomorphic, emit_graph6, iter_bits
 
-HARD_CAP = 10
-_CHECK_EVERY = 4096
+HARD_CAP = 12
 
 
 @dataclass
@@ -36,6 +43,9 @@ class SearchResult:
 
     ``max_size`` is the largest size with a witness (None when there is
     none); ``witnesses`` holds one graph6 line per isomorphism class at it.
+    ``graphs_scanned`` counts the labeled masks of the side-fixed space the
+    run accounts for, and ``masks_visited`` the double-lex matrices visited
+    to account for them; a block cut short by the budget adds to neither.
     """
 
     n: int
@@ -43,6 +53,7 @@ class SearchResult:
     max_size: Optional[int]
     witnesses: list[str]
     graphs_scanned: int
+    masks_visited: int
     elapsed: float
     complete: bool
     size: Optional[int] = None
@@ -63,6 +74,7 @@ class SearchResult:
             **head,
             "witnesses": self.witnesses,
             "graphs_scanned": self.graphs_scanned,
+            "masks_visited": self.masks_visited,
             "elapsed": self.elapsed,
             "complete": self.complete,
         }
@@ -87,39 +99,63 @@ def _assert_unique_domination_properties(g: Graph, gamma: int, dset: int) -> Non
             )
 
 
+def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Yield every k x q 0/1 matrix in double-lex form with exactly ``s``
+    ones and no zero row or column.
+
+    Row i is the q-bit integer whose bit j is entry (i, j).  Double-lex form
+    means the rows are nonincreasing as integers and each column j, read top
+    to bottom, is lexicographically at most column j+1.  Rows are chosen top
+    to bottom; ``tied`` keeps bit j set while columns j and j+1 are still
+    equal, which is when a row may not put a one in column j without one in
+    column j+1.
+    """
+    if k == 0 or not k <= s <= k * q:
+        return
+    weight = [r.bit_count() for r in range(1 << q)]
+    # most[r]: the largest weight of any row r' <= r
+    most = list(accumulate(weight, max))
+    rows = [0] * k
+
+    def extend(i: int, prev: int, tied: int, left: int, cols: int):
+        if i == k:
+            # column 0 is the least column: no column is empty iff it is not
+            if left == 0 and cols & 1:
+                yield tuple(rows)
+            return
+        rows_left = k - i
+        for r in range(prev, 0, -1):
+            if left > rows_left * most[r]:
+                break
+            if r & ~(r >> 1) & tied:
+                continue
+            rest = left - weight[r]
+            if rest < rows_left - 1:
+                continue
+            rows[i] = r
+            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r)
+
+    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0)
+
+
 def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
                 deadline: Optional[float]) -> tuple[list[tuple[str, Graph]], int, bool]:
-    """Enumerate all k x (n-k) cross-edge masks with exactly s edges.
+    """Scan the double-lex k x (n-k) biadjacency matrices with exactly s edges.
 
-    Returns (witnesses found, masks visited, timed out).  A witness is an
+    Returns (witnesses found, matrices visited, timed out).  A witness is an
     isolated-vertex-free graph whose domination number is exactly ``gamma``
     realized by a unique minimum set.
     """
     q = n - k
-    cells = k * q
     full = (1 << n) - 1
-    col_full = (1 << q) - 1
     found: list[tuple[str, Graph]] = []
     visited = 0
     if deadline is not None and time.monotonic() >= deadline:
         return found, visited, True
-    for combo in combinations(range(cells), s):
+    for rows in _double_lex_matrices(k, q, s):
         visited += 1
-        if deadline is not None and visited % _CHECK_EVERY == 0:
-            if time.monotonic() >= deadline:
-                return found, visited, True
-        rows = [0] * k
-        for cell in combo:
-            rows[cell // q] |= 1 << (cell % q)
-        col_or = 0
-        ok = True
-        for r in rows:
-            if r == 0:
-                ok = False
-                break
-            col_or |= r
-        if not ok or col_or != col_full:
-            continue
+        if deadline is not None and time.monotonic() >= deadline:
+            return found, visited, True
         cols = [0] * q
         for i, r in enumerate(rows):
             for j in iter_bits(r):
@@ -160,10 +196,13 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
     """Scan ``blocks`` in order, keeping the witness classes of the largest
     size seen.  Blocks below that size are skipped, and with
     ``stop_on_first`` so are blocks at it."""
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     best = -1
     scanned = 0
+    masks_visited = 0
     classes: list[tuple[str, Graph]] = []
     complete = True
     for k, s in blocks:
@@ -175,12 +214,13 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
                 n, k, s, gamma, stop_on_first=stop_on_first, deadline=deadline,
             )
             if timed_out:
-                scanned += visited
                 complete = False
             else:
-                # a block aborted after its first find still counts in full:
-                # its remaining masks share the same size and cannot move the max
+                # a finished block accounts for every labeled mask in it, each
+                # a relabeling of a double-lex one; a block aborted after its
+                # first find holds no other size that could move the max
                 scanned += block_size
+                masks_visited += visited
             if found:
                 if s > best:
                     best = s
@@ -191,17 +231,13 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
         if not complete:
             break
 
-    space = sum(comb(k * (n - k), s) for k, s in blocks)
-    if complete and scanned != space:
-        raise AssertionError(
-            f"coverage bookkeeping off: scanned {scanned}, space {space}"
-        )
     return SearchResult(
         n=n,
         gamma=gamma,
         max_size=best if best >= 0 else None,
         witnesses=sorted(g6 for g6, _ in classes),
         graphs_scanned=scanned,
+        masks_visited=masks_visited,
         elapsed=time.monotonic() - start,
         complete=complete,
         size=size,

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 6 is the
-long exhaustive confirmation and stays opt-in: ``pytest -m extended``.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 6, the
+exhaustive confirmation at orders 9 and 10, stays opt-in with the other
+extended searches: ``pytest -m extended``.
 All value checks are exact; the stated wall-clock budgets are asserted too.
 """
 

@@ -178,6 +178,18 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--in", "/nonexistent.g6"])
         assert code == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("3 1\n0 1\n1 2\n0 2\n", "header declares 1 edges, found 3 edge lines"),
+        ("3 2\n0 1\n1 0\n", "edge 1 0 is listed twice"),
+    ])
+    def test_malformed_edge_list_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["verify", "--in", str(path), "--json"])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestSearchCommand:
     def test_max_json(self, capsys):
@@ -189,6 +201,7 @@ class TestSearchCommand:
         assert validate_document(doc) == []
         assert doc["max_size"] == 6
         assert doc["complete"] is True
+        assert 0 < doc["masks_visited"] < doc["graphs_scanned"] == 801
         assert "scanned=" in err and "best=" in err
 
     def test_count_mode(self, capsys):
@@ -212,6 +225,25 @@ class TestSearchCommand:
         )
         assert code == 3
         assert json.loads(out)["complete"] is False
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_bad_budget_is_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, ["search", "--n", "6", "--gamma", "2", "--budget", budget, "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget must be a nonnegative number of seconds" in err
+
+    def test_schema_bounds_masks_visited(self, capsys):
+        code, out, _ = run(capsys, ["search", "--n", "6", "--gamma", "2", "--size", "6",
+                                    "--json"])
+        doc = json.loads(out)
+        assert code == 0 and validate_document(doc) == []
+        assert doc["masks_visited"] > 0
+        for bad in (-1, doc["graphs_scanned"] + 1, None):
+            problems = validate_document({**doc, "masks_visited": bad})
+            assert any("masks_visited" in p for p in problems)
 
     def test_human_mode(self, capsys):
         code, out, _ = run(capsys, ["search", "--n", "6", "--gamma", "2"])

@@ -242,6 +242,15 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n0 1\n")
 
+    def test_more_edge_lines_than_header(self):
+        with pytest.raises(ValueError, match="header declares 1 edges, found 3"):
+            parse_edge_list("3 1\n0 1\n1 2\n0 2\n")
+
+    @pytest.mark.parametrize("second", ["0 1", "1 0"])
+    def test_repeated_edge(self, second):
+        with pytest.raises(ValueError, match="listed twice"):
+            parse_edge_list(f"3 2\n0 1\n{second}\n")
+
 
 class TestDot:
     def test_labels_present(self):
