@@ -70,8 +70,13 @@ def load_graph(path: str) -> Graph:
             return parse_edge_list(text)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
+    lines = stripped.splitlines()
+    if len(lines) > 1:
+        raise CliError(
+            f"{path}: a graph6 input holds one graph, this file has {len(lines)} lines"
+        )
     try:
-        return parse_graph6(stripped.splitlines()[0])
+        return parse_graph6(lines[0])
     except Graph6Error as exc:
         raise CliError(f"{path}: {exc}") from exc
 

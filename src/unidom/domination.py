@@ -4,6 +4,16 @@ The solver settles the domination number by iterative deepening over the
 target size with branch-and-bound pruning, then certifies uniqueness by
 enumerating minimum dominating sets with a small cap (two suffice to decide).
 Private-neighborhood and perfect-domination predicates round out the module.
+
+Two lower bounds prune the search.  The coverage bound: ``u`` undominated
+vertices need at least ``u / c`` more dominators when no candidate covers
+more than ``c`` of them.  The 2-packing bound: undominated vertices whose
+remaining dominator options are pairwise disjoint each need a dominator of
+their own, so a greedy packing of them counts dominators still owed.  At the
+root the packing (taken over every vertex, fewest options first) starts the
+iterative deepening; for both extremal constructions it already equals
+gamma.  Inside the branch-and-bound it is taken on the undominated residue.
+Both bounds are only ever below the true cost, so no dominating set is lost.
 """
 
 from __future__ import annotations
@@ -47,6 +57,18 @@ def _greedy_cover_size(closed: list[int], full: int) -> int:
     return count
 
 
+def _packing_size(closed: list[int]) -> int:
+    """Size of a greedy 2-packing: vertices with pairwise disjoint closed
+    neighborhoods, taken fewest options first.  A lower bound on gamma."""
+    used = 0
+    packed = 0
+    for v in sorted(range(len(closed)), key=lambda v: closed[v].bit_count()):
+        if not closed[v] & used:
+            used |= closed[v]
+            packed += 1
+    return packed
+
+
 def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> bool:
     """Does some set of at most ``k`` vertices dominate the rest?"""
     if dominated == full:
@@ -61,12 +83,20 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> b
             max_cov = c
     if undom.bit_count() > k * max_cov:
         return False
-    # branch on the vertex with the fewest ways to become dominated
+    # branch on the vertex with the fewest ways to become dominated, and pack
+    # undominated vertices whose dominator options are pairwise disjoint
     branch_v, branch_opts = -1, 1 << 30
+    used, packed = 0, 0
     for v in iter_bits(undom):
-        opts = closed[v].bit_count()
-        if opts < branch_opts:
-            branch_v, branch_opts = v, opts
+        opts = closed[v]
+        if not opts & used:
+            packed += 1
+            if packed > k:
+                return False
+            used |= opts
+        c = opts.bit_count()
+        if c < branch_opts:
+            branch_v, branch_opts = v, c
     for u in iter_bits(closed[branch_v]):
         if _exists_cover(closed, full, k - 1, dominated | closed[u]):
             return True
@@ -102,13 +132,21 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
                 max_cov = c
         if undom.bit_count() > remaining * max_cov:
             return False
+        # as in _exists_cover, but over the options that are not banned
         branch_v, branch_opts = -1, 1 << 30
+        used, packed = 0, 0
         for v in iter_bits(undom):
-            opts = (closed[v] & ~banned).bit_count()
-            if opts == 0:
-                return False
-            if opts < branch_opts:
-                branch_v, branch_opts = v, opts
+            opts = closed[v] & ~banned
+            if not opts & used:
+                packed += 1
+                if packed > remaining:
+                    return False
+                used |= opts
+            c = opts.bit_count()
+            if c < branch_opts:
+                if c == 0:
+                    return False
+                branch_v, branch_opts = v, c
         local_ban = banned
         for u in iter_bits(closed[branch_v] & ~banned):
             if rec(chosen | (1 << u), dominated | closed[u], local_ban, remaining - 1):
@@ -132,7 +170,7 @@ def domination_number(g: Graph) -> int:
     full = g.full_mask
     ub = _greedy_cover_size(closed, full)
     biggest = max(c.bit_count() for c in closed)
-    lb = -(-g.n // biggest)
+    lb = max(-(-g.n // biggest), _packing_size(closed))
     for k in range(lb, ub):
         if _exists_cover(closed, full, k):
             return k

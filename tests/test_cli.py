@@ -329,3 +329,14 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "iso"])
+    def test_multi_line_graph6_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "two.g6"
+        path.write_text("Bw\nBo\n")
+        argv = ["verify", "--in", str(path)] if command == "verify" else [
+            "iso", write_c4(tmp_path), str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "2 lines" in err

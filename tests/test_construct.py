@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from unidom import (
@@ -212,6 +214,22 @@ class TestVerifyConstruction:
         g, layout = construct_bipartite(12, 3)
         assert verify_construction(g, layout, bipartite_bound(12, 3)).passed
         assert calls == [12]
+
+    def test_bipartite_reach(self):
+        """Certify the bipartite family at large n and gamma.
+
+        The root 2-packing bound equals gamma on this family and the residue
+        packing cuts the uniqueness proof short, so the four certificates
+        take 1 to 2 s on a 2-vCPU Xeon; the budget is generous.  The
+        Fischermann family at gamma >= 15 is out of scope: its uniqueness
+        enumeration is still slow, and (54,18) alone takes 2.5 to 5 s.
+        """
+        start = time.monotonic()
+        for n, gamma in [(48, 16), (60, 15), (63, 21), (64, 21)]:
+            g, layout = construct_bipartite(n, gamma)
+            cert = verify_construction(g, layout, bipartite_bound(n, gamma))
+            assert cert.passed, (n, gamma, cert.failures())
+        assert time.monotonic() - start <= 30
 
     def test_certificate_json_shape(self):
         g, layout = construct_bipartite(6, 2)

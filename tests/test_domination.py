@@ -3,6 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+try:
+    import networkx as nx
+except ImportError:  # test-only oracle input
+    nx = None
+
 from unidom import (
     check_epn_condition,
     closed_neighborhoods_disjoint,
@@ -15,6 +20,8 @@ from unidom import (
     is_umd,
     mask_of,
 )
+from unidom.construct import construct_bipartite, construct_fischermann
+from unidom.domination import _packing_size, closed_neighborhoods
 
 from conftest import (
     assert_unique_domination_theory,
@@ -238,3 +245,27 @@ class TestSolverOracleSweep:
             p = 0.1 + 0.8 * (i / 59)
             g = random_graph(rng, n, p)
             assert domination_number(g) == naive_domination_number(g)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_graph_atlas(self):
+        # every graph on up to seven vertices (1,253 of them): the packing
+        # and coverage prunes may never lose a minimum dominating set
+        for h in nx.graph_atlas_g():
+            g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+            assert domination_number(g) == naive_domination_number(g)
+            assert enumerate_minimum_dominating_sets(g) == naive_minimum_dominating_sets(g)
+
+
+class TestPackingBound:
+    @given(graphs(max_n=10))
+    @settings(max_examples=150)
+    def test_never_exceeds_gamma(self, g):
+        assert _packing_size(closed_neighborhoods(g)) <= domination_number(g)
+
+    def test_equals_gamma_on_constructions(self):
+        for gamma in range(2, 9):
+            for n in range(3 * gamma, 3 * gamma + 7):
+                for builder in (construct_bipartite, construct_fischermann):
+                    g, _ = builder(n, gamma)
+                    assert _packing_size(closed_neighborhoods(g)) == gamma
+                    assert domination_number(g) == gamma
