@@ -64,13 +64,14 @@ def load_graph(path: str) -> Graph:
     stripped = text.strip()
     if not stripped:
         raise CliError(f"{path} is empty")
-    head = stripped.splitlines()[0].split()
-    if len(head) == 2 and all(tok.isdigit() for tok in head):
+    lines = stripped.splitlines()
+    # graph6 bytes are printable and never blank or '#', so a first line
+    # with whitespace or a comment mark can only start an edge list
+    if lines[0].startswith("#") or len(lines[0].split()) > 1:
         try:
             return parse_edge_list(text)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
-    lines = stripped.splitlines()
     if len(lines) > 1:
         raise CliError(
             f"{path}: a graph6 input holds one graph, this file has {len(lines)} lines"

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unidom import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
 from unidom.cli import main
@@ -340,3 +344,48 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "2 lines" in err
+
+    def test_bad_edge_list_header_is_not_graph6(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1 4\n0 1\n")
+        code, out, err = run(capsys, ["verify", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "header must be 'n m'" in err
+        assert "graph6" not in err
+
+    def test_edge_list_may_open_with_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "p3.txt"
+        path.write_text("# path on three vertices\n3 2\n0 1\n1 2\n")
+        code, out, _ = run(capsys, ["verify", "--in", str(path), "--json"])
+        assert code == 0
+        assert json.loads(out)["report"]["min_sets"] == [[1]]
+
+
+def _edge_list_like():
+    token = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "x", "1.5", "#"]))
+    line = st.lists(token, min_size=0, max_size=3).map(" ".join)
+    return st.lists(line, min_size=1, max_size=6).map("\n".join)
+
+
+def _graph6_like():
+    line = st.text(alphabet=[chr(c) for c in range(63, 127)], max_size=12)
+    return st.lists(line, min_size=1, max_size=2).map("\n".join)
+
+
+@given(text=st.one_of(st.text(max_size=40), _edge_list_like(), _graph6_like()))
+@settings(max_examples=300, deadline=None)
+def test_verify_input_fuzz(tmp_path_factory, text):
+    """Any input file gives a report (exit 0 or 1) or one error line (exit 2)."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_input"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--in", str(path), "--json"])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1)
+        assert validate_document(json.loads(out.getvalue())) == []

@@ -220,9 +220,8 @@ class TestVerifyConstruction:
 
         The root 2-packing bound equals gamma on this family and the residue
         packing cuts the uniqueness proof short, so the four certificates
-        take 1 to 2 s on a 2-vCPU Xeon; the budget is generous.  The
-        Fischermann family at gamma >= 15 is out of scope: its uniqueness
-        enumeration is still slow, and (54,18) alone takes 2.5 to 5 s.
+        take about 0.02 s on a 2-vCPU Xeon; the budget is generous.  The
+        Fischermann family at the same reach is ``test_fischermann_reach``.
         """
         start = time.monotonic()
         for n, gamma in [(48, 16), (60, 15), (63, 21), (64, 21)]:
@@ -230,6 +229,34 @@ class TestVerifyConstruction:
             cert = verify_construction(g, layout, bipartite_bound(n, gamma))
             assert cert.passed, (n, gamma, cert.failures())
         assert time.monotonic() - start <= 30
+
+    def test_fischermann_reach(self):
+        """Certify the Fischermann family at large n and gamma.
+
+        Its root packing equals gamma too, and the failure memo keeps the
+        cap-2 uniqueness enumeration from visiting 1.5 * 2^gamma nodes: the
+        four certificates take about 0.02 s on a 2-vCPU Xeon, where (60,20)
+        took 10.7 s and (64,21) 23 s without the memo.
+        """
+        start = time.monotonic()
+        for n, gamma in [(54, 18), (60, 20), (63, 21), (64, 21)]:
+            g, layout = construct_fischermann(n, gamma)
+            cert = verify_construction(g, layout, fischermann_bound(n, gamma))
+            assert cert.passed, (n, gamma, cert.failures())
+        assert time.monotonic() - start <= 30
+
+    def test_both_families_to_gamma_21(self):
+        # every 2 <= gamma <= 21 and 3*gamma <= n <= 64: 1,220 certificates
+        count = 0
+        for gamma in range(2, 22):
+            for n in range(3 * gamma, 65):
+                for builder, bound in ((construct_bipartite, bipartite_bound),
+                                       (construct_fischermann, fischermann_bound)):
+                    g, layout = builder(n, gamma)
+                    cert = verify_construction(g, layout, bound(n, gamma))
+                    assert cert.passed, (builder.__name__, n, gamma, cert.failures())
+                    count += 1
+        assert count == 1220
 
     def test_certificate_json_shape(self):
         g, layout = construct_bipartite(6, 2)

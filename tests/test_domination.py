@@ -9,6 +9,7 @@ except ImportError:  # test-only oracle input
     nx = None
 
 from unidom import (
+    bit_list,
     check_epn_condition,
     closed_neighborhoods_disjoint,
     domination_number,
@@ -19,6 +20,7 @@ from unidom import (
     is_perfectly_dominated,
     is_umd,
     mask_of,
+    parse_graph6,
 )
 from unidom.construct import construct_bipartite, construct_fischermann
 from unidom.domination import _packing_size, closed_neighborhoods
@@ -269,3 +271,85 @@ class TestPackingBound:
                     g, _ = builder(n, gamma)
                     assert _packing_size(closed_neighborhoods(g)) == gamma
                     assert domination_number(g) == gamma
+
+
+def disjoint_pieces(rng, n, bridges=False):
+    """Disjoint union of random connected pieces of two to four vertices,
+    optionally joined by one to four random edges."""
+    edges = []
+    start = 0
+    while start < n:
+        size = min(rng.randint(2, 4), n - start)
+        for v in range(start + 1, start + size):
+            edges.append((rng.randrange(start, v), v))  # a spanning tree
+        for u in range(start, start + size):
+            for v in range(u + 1, start + size):
+                if (u, v) not in edges and rng.random() < 0.3:
+                    edges.append((u, v))
+        start += size
+    for _ in range(rng.randint(1, 4) if bridges else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges:
+            edges.append((u, v))
+    return from_edge_list(n, edges)
+
+
+# cap=2 pairs reported by the solver before the failure memo, the tight
+# packing cut and the last-pick intersection existed: (graph6, pair)
+CAPPED_PAIRS = [
+    ("H?YCE_A", [[0, 2, 6, 7], [0, 2, 7, 8]]),
+    ("LS?@?@?QOG@OGG", [[0, 5, 6, 8, 9], [0, 5, 7, 8, 11]]),
+    ("L??G?eG?CAAwc@", [[0, 1, 2, 4, 7, 9], [1, 2, 4, 7, 9, 12]]),
+    ("JBc?CQ@BFR_", [[0, 3, 5, 6], [1, 5, 6, 10]]),
+    ("J_??__ADH??", [[0, 2, 3, 4, 9], [0, 3, 4, 9, 10]]),
+    ("JW_?OgEG?O_", [[2, 3, 4, 5], [2, 3, 4, 8]]),
+    ("J??oCWaEMG?", [[1, 3, 7, 8], [1, 5, 7, 8]]),
+    ("GDgW?_", [[0, 1, 3, 6], [1, 2, 3, 6]]),
+    ("G_?b_S", [[0, 2, 3, 4], [0, 3, 4, 5]]),
+    ("KE?`OSIc??CT", [[2, 3, 4, 10], [2, 3, 6, 10]]),
+    ("JCoO?AJ?E??", [[1, 2, 3, 8, 9], [2, 3, 8, 9, 10]]),
+    ("L??_??GDC?`_GG", [[0, 1, 2, 3, 4, 6, 7], [0, 1, 3, 5, 6, 7, 8]]),
+    ("IOQG@O?C?", [[0, 3, 4, 6, 8], [2, 3, 4, 6, 8]]),
+    ("LOGDC?W?kC?_xa", [[0, 1, 5, 8], [0, 1, 8, 11]]),
+    ("LCD@OoK?KAE?Oo", [[0, 2, 8, 12], [0, 8, 11, 12]]),
+    ("HE?pDY?", [[0, 1, 2, 4], [1, 2, 4, 8]]),
+    ("KGOi@o`a??EL", [[0, 1, 2, 11], [0, 1, 4, 11]]),
+    ("IIO?`QW@?", [[0, 3, 5, 7], [0, 3, 7, 9]]),
+    ("J@_OG_a[OB?", [[0, 1, 3, 8], [0, 3, 8, 9]]),
+    ("Ko_HouOQC?C`", [[0, 2, 3, 4], [0, 3, 4, 5]]),
+]
+
+
+class TestEnumerationShortcuts:
+    """The failure memo, the tight-packing cut and the last-pick
+    intersection in ``_enumerate_covers`` must neither lose a minimum set nor
+    change which two sets a capped run reports."""
+
+    def test_seeded_sweep_matches_naive(self):
+        # gamma >= 4 on most of these graphs, so the memo (which keys states
+        # with three or more picks left) is active
+        rng = random.Random(8128)
+        deep = 0
+        for i in range(1000):
+            n = rng.randint(6, 13)
+            if i % 3 == 0:
+                g = random_graph(rng, n, rng.choice([0.1, 0.15, 0.2, 0.3]))
+            else:
+                g = disjoint_pieces(rng, n, bridges=i % 3 == 2)
+            expected = naive_minimum_dominating_sets(g)
+            assert enumerate_minimum_dominating_sets(g) == expected, g.adj
+            deep += expected[0].bit_count() >= 4
+        assert deep > 500
+
+    @pytest.mark.parametrize("g6", ["JgCOO@@C??_", "JgCO?C@?gG?", "KgCOgW??G@?A", "Kl?GG?@?O?_G"])
+    def test_state_recurring_with_other_picks_left(self, g6):
+        # one residual problem is met again with a different number of picks
+        # left; a memo key without ``remaining`` loses every minimum set here
+        g = parse_graph6(g6)
+        assert enumerate_minimum_dominating_sets(g) == naive_minimum_dominating_sets(g)
+
+    @pytest.mark.parametrize("g6, pair", CAPPED_PAIRS)
+    def test_capped_pair_unchanged(self, g6, pair):
+        g = parse_graph6(g6)
+        assert [bit_list(s) for s in enumerate_minimum_dominating_sets(g, cap=2)] == pair
+        assert len(naive_minimum_dominating_sets(g)) > 2

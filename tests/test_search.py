@@ -299,6 +299,13 @@ class TestBeyondOrderTen:
         self._check(result, 11, 3, bipartite_bound(11, 3), 1)
         assert result.max_size == 20
 
+    def test_12_3_meets_bipartite_bound(self):
+        result = max_umd_bipartite_size(12, 3)
+        self._check(result, 12, 3, bipartite_bound(12, 3), 1)
+        assert result.max_size == 25
+        g, _ = construct_bipartite(12, 3)
+        assert are_isomorphic(g, parse_graph6(result.witnesses[0]))
+
     def test_12_4_meets_n3g_bound(self):
         result = max_umd_bipartite_size(12, 4)
         self._check(result, 12, 4, n3g_bound(4), 11)
