@@ -9,6 +9,7 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -149,15 +150,15 @@ def cmd_construct(args) -> int:
             g, layout = construct_fischermann(args.n, args.gamma)
             expected = bounds.fischermann_bound(args.n, args.gamma)
 
-    rendered = _emit_graph(g, args.format, layout)
+    # render only where the text goes: --out, or stdout when not verifying
     if args.out:
-        Path(args.out).write_text(rendered)
+        Path(args.out).write_text(_emit_graph(g, args.format, layout))
+    elif not args.verify:
+        sys.stdout.write(_emit_graph(g, args.format, layout))
     if args.verify:
         cert = verify_construction(g, layout, expected)
         print(json.dumps(cert.to_json()))
         return EXIT_OK if cert.passed else EXIT_FAIL
-    if not args.out:
-        sys.stdout.write(rendered)
     return EXIT_OK
 
 
@@ -267,6 +268,7 @@ def cmd_iso(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``unidom`` command (``main`` reuses one of its own)."""
     parser = argparse.ArgumentParser(
         prog="unidom",
         description="Extremal graphs with a unique minimum dominating set: "
@@ -328,10 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to main, not at import, and reused after that:
+    # parse_args returns a fresh Namespace each call and leaves the parser as
+    # it was, and help and usage errors look up sys.stdout/sys.stderr when
+    # they print.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK

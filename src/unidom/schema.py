@@ -8,6 +8,8 @@ can vendor this file alone.
 
 from __future__ import annotations
 
+import re
+
 SCHEMA_ID = "unidom/1"
 
 
@@ -17,20 +19,21 @@ def _err(problems: list[str], cond: bool, msg: str) -> bool:
     return cond
 
 
+def _is_int(x) -> bool:
+    # bool subclasses int, but JSON true/false is never a count or a vertex
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_vertex_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, int) and v >= 0 for v in x)
+    return isinstance(x, list) and all(_is_int(v) and v >= 0 for v in x)
 
 
 def _is_exact_number(x) -> bool:
-    # exact values serialize as ints, or as "p/q" strings when non-integral
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, int):
-        return True
+    # exact values serialize as ints, or as "p/q" strings (q > 0) when non-integral
     if isinstance(x, str):
-        parts = x.split("/")
-        return len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)
-    return False
+        match = re.fullmatch(r"-?[0-9]+/([0-9]+)", x)
+        return match is not None and int(match.group(1)) > 0
+    return _is_int(x)
 
 
 def validate_report(doc) -> list[str]:
@@ -38,7 +41,7 @@ def validate_report(doc) -> list[str]:
     problems: list[str] = []
     if not _err(problems, isinstance(doc, dict), "report must be an object"):
         return problems
-    _err(problems, isinstance(doc.get("gamma"), int) and doc["gamma"] >= 0,
+    _err(problems, _is_int(doc.get("gamma")) and doc["gamma"] >= 0,
          "gamma must be a nonnegative int")
     _err(problems, isinstance(doc.get("unique"), bool), "unique must be a bool")
     sets = doc.get("min_sets")
@@ -64,15 +67,15 @@ def _validate_bound_row(row, problems: list[str]) -> None:
     if not _err(problems, isinstance(row, dict), "bound row must be an object"):
         return
     for key in ("n", "gamma", "m_bipartite", "m_fischermann", "phi"):
-        _err(problems, isinstance(row.get(key), int), f"{key} must be an int")
+        _err(problems, _is_int(row.get(key)), f"{key} must be an int")
     _err(problems, _is_exact_number(row.get("vizing")),
          "vizing must be an int or 'p/q' string")
 
 
 def _validate_scan_counts(doc, problems: list[str]) -> None:
     scanned, visited = doc.get("graphs_scanned"), doc.get("masks_visited")
-    ok = _err(problems, isinstance(scanned, int), "graphs_scanned must be an int")
-    ok = _err(problems, isinstance(visited, int), "masks_visited must be an int") and ok
+    ok = _err(problems, _is_int(scanned), "graphs_scanned must be an int")
+    ok = _err(problems, _is_int(visited), "masks_visited must be an int") and ok
     if ok:
         _err(problems, 0 <= visited <= scanned,
              "masks_visited must lie between 0 and graphs_scanned")
@@ -106,16 +109,16 @@ def validate_document(doc) -> list[str]:
         _err(problems, isinstance(doc.get("expectations"), dict),
              "expectations must be an object")
     elif kind == "search":
-        _err(problems, isinstance(doc.get("n"), int), "n must be an int")
-        _err(problems, isinstance(doc.get("gamma"), int), "gamma must be an int")
+        _err(problems, _is_int(doc.get("n")), "n must be an int")
+        _err(problems, _is_int(doc.get("gamma")), "gamma must be an int")
         ms = doc.get("max_size")
-        _err(problems, ms is None or isinstance(ms, int), "max_size must be int or null")
+        _err(problems, ms is None or _is_int(ms), "max_size must be int or null")
         _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
         _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
     elif kind == "witness_count":
         for key in ("n", "gamma", "size", "count"):
-            _err(problems, isinstance(doc.get(key), int), f"{key} must be an int")
+            _err(problems, _is_int(doc.get(key)), f"{key} must be an int")
         _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
         _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")

@@ -1,14 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unidom import emit_edge_list, emit_graph6, from_edge_list, parse_graph6
+from unidom import cli, emit_edge_list, emit_graph6, from_edge_list, parse_graph6
 from unidom.cli import main
 from unidom.schema import validate_document
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -132,6 +138,29 @@ class TestConstructCommand:
             capsys, ["construct", "--family", "bipartite", "--n", "5", "--gamma", "2"]
         )
         assert code == 2
+
+    def test_verify_out_file_keeps_format(self, capsys, tmp_path):
+        target = tmp_path / "g.dot"
+        code, out, _ = run(
+            capsys,
+            ["construct", "--family", "bipartite", "--n", "6", "--gamma", "2",
+             "--verify", "--out", str(target), "--format", "dot"],
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert target.read_text().startswith("graph")
+        assert 'label="x1"' in target.read_text()
+
+    def test_verify_without_out_renders_nothing(self, capsys, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(cli, "emit_graph6", lambda g: rendered.append(g) or "")
+        code, out, _ = run(
+            capsys,
+            ["construct", "--family", "fischermann", "--n", "9", "--gamma", "3", "--verify"],
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert rendered == []
 
 
 class TestVerifyCommand:
@@ -274,6 +303,168 @@ class TestSearchCommand:
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, _, _ = run(capsys, argv)
     assert code == 2
+
+
+def _outcome(capsys, argv, tmp_path):
+    """(exit code, stdout with JSON 'elapsed' dropped, stderr, files in tmp_path)."""
+    code, out, err = run(capsys, argv)
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        doc.pop("elapsed", None)
+        out = doc
+    files = {p.name: p.read_text() for p in sorted(tmp_path.iterdir())}
+    return code, out, err, files
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's options."""
+
+    def test_sequence_matches_fresh_parsers(self, capsys, tmp_path):
+        w, g = str(tmp_path / "w.g6"), str(tmp_path / "g.g6")
+        construct = ["construct", "--family", "bipartite", "--n", "6", "--gamma", "2"]
+        sequence = [
+            ["search", "--n", "6", "--gamma", "2", "--size", "6", "--witnesses", w, "--json"],
+            ["search", "--n", "6", "--gamma", "2", "--json"],
+            ["search", "--n", "6", "--gamma", "2", "--threads", "2"],
+            construct + ["--verify", "--out", g],
+            construct,
+            ["search", "--help"],
+            ["verify", "--in", g, "--json"],
+            ["verify", "--in", g],
+            ["bound", "--n", "6", "--gamma", "2"],
+        ]
+        main(["bound", "--n", "6", "--gamma", "2"])  # the parser is cached from here
+        capsys.readouterr()
+        reused = [_outcome(capsys, argv, tmp_path) for argv in sequence]
+
+        codes = [r[0] for r in reused]
+        assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 0]
+        assert reused[0][1]["kind"] == "witness_count"
+        assert reused[1][1]["kind"] == "search"
+        assert reused[1][1]["max_size"] == 6
+        assert "unrecognized arguments: --threads 2" in reused[2][2]
+        assert reused[3][1]["kind"] == "certificate"
+        assert parse_graph6(reused[4][1].strip()).size() == 6
+        assert reused[5][1].startswith("usage: unidom search")
+        assert reused[6][1]["kind"] == "verify"
+        assert reused[7][1].startswith("gamma\t2\n")
+        assert reused[8][1].startswith("n\tgamma\t")
+
+        for p in tmp_path.iterdir():
+            p.unlink()
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(_outcome(capsys, argv, tmp_path))
+        assert reused == fresh
+
+    def test_no_options_carry_over(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        real = cli._bound_rows
+        monkeypatch.setattr(cli, "_bound_rows",
+                            lambda args: seen.append(vars(args)) or real(args))
+        main(["search", "--n", "6", "--gamma", "2", "--size", "6",
+              "--witnesses", str(tmp_path / "w.g6"), "--json"])
+        main(["bound", "--n", "6", "--gamma", "2"])
+        assert set(seen[0]) == {"command", "n", "gamma", "n_to", "json", "func"}
+        assert seen[0]["json"] is False
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        real, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (["bound", "--n", "6", "--gamma", "2"], ["frobnicate"], ["--help"],
+                     ["bound", "--n", "7", "--gamma", "2", "--json"]):
+            main(argv)
+        assert len(built) == 1
+        assert real() is not real()
+        assert real() is not cli._parser()
+
+
+def _unidom_process(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_fresh_process_command_line():
+    """The one-shot path, which builds the parser on its only call."""
+    proc = _unidom_process("-m", "unidom.cli", "construct", "--family", "bipartite",
+                           "--n", "6", "--gamma", "2", "--verify")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert validate_document(doc) == [] and doc["passed"] is True
+
+    proc = _unidom_process("-m", "unidom.cli", "search", "--n", "6", "--gamma", "2",
+                           "--threads", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: unidom")
+
+    proc = _unidom_process("-m", "unidom.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: unidom")
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse, io, contextlib\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import unidom.cli\n"
+        "counts = [len(made)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(3):\n"
+        "        unidom.cli.main(['bound', '--n', '6', '--gamma', '2'])\n"
+        "        counts.append(len(made))\n"
+        "print(counts)\n"
+    )
+    proc = _unidom_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts[0] == 0
+    assert counts[1] > 0
+    assert counts[1:] == [counts[1]] * 3
+
+
+_VALID = {
+    "bound": {"schema": "unidom/1", "kind": "bound", "n": 7, "gamma": 2,
+              "m_bipartite": 9, "m_fischermann": 9, "vizing": "21/2", "phi": 0},
+    "verify": {"schema": "unidom/1", "kind": "verify", "ok": True,
+               "report": {"gamma": 2, "unique": True, "min_sets": [[0, 1]],
+                          "epn": {"0": [2]}, "perfect": True, "epn_condition": True},
+               "warnings": [], "expectations": {}},
+    "search": {"schema": "unidom/1", "kind": "search", "n": 6, "gamma": 2,
+               "max_size": 6, "witnesses": [], "graphs_scanned": 5,
+               "masks_visited": 3, "complete": True},
+}
+
+
+@pytest.mark.parametrize("kind, report, fields", [
+    ("bound", False, {"n": True}),
+    ("bound", False, {"phi": False}),
+    ("bound", False, {"vizing": True}),
+    ("bound", False, {"vizing": "1/0"}),
+    ("bound", False, {"vizing": "3/-2"}),
+    ("bound", False, {"vizing": "--3/2"}),
+    ("verify", True, {"gamma": True}),
+    ("verify", True, {"min_sets": [[True, False]]}),
+    ("verify", True, {"epn": {"0": [True]}}),
+    ("search", False, {"graphs_scanned": True, "masks_visited": False}),
+    ("search", False, {"max_size": True}),
+])
+def test_schema_rejects_bools_and_bad_fractions(kind, report, fields):
+    doc = json.loads(json.dumps(_VALID[kind]))
+    assert validate_document(doc) == []
+    (doc["report"] if report else doc).update(fields)
+    assert validate_document(doc) != []
 
 
 class TestComplementCommand:
