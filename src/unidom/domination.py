@@ -90,8 +90,11 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> b
     if k == 1:
         # one pick must dominate every undominated vertex at once
         last = full
-        for v in iter_bits(undom):
-            last &= closed[v]
+        m = undom
+        while m:
+            low = m & -m
+            m ^= low
+            last &= closed[low.bit_length() - 1]
         return last != 0
     max_cov = 0
     for u in range(len(closed)):
@@ -104,7 +107,11 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> b
     # undominated vertices whose dominator options are pairwise disjoint
     branch_v, branch_opts = -1, 1 << 30
     used, packed = 0, 0
-    for v in iter_bits(undom):
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
         opts = closed[v]
         if not opts & used:
             packed += 1
@@ -114,8 +121,11 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> b
         c = opts.bit_count()
         if c < branch_opts:
             branch_v, branch_opts = v, c
-    for u in iter_bits(closed[branch_v]):
-        if _exists_cover(closed, full, k - 1, dominated | closed[u]):
+    m = closed[branch_v]
+    while m:
+        low = m & -m
+        m ^= low
+        if _exists_cover(closed, full, k - 1, dominated | closed[low.bit_length() - 1]):
             return True
     return False
 
@@ -161,12 +171,17 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
         undom = full & ~dominated
         if remaining == 1:
             last = full & ~banned
-            for v in iter_bits(undom):
-                last &= closed[v]
-            for u in iter_bits(last):
-                found.append(chosen | (1 << u))
+            m = undom
+            while m:
+                low = m & -m
+                m ^= low
+                last &= closed[low.bit_length() - 1]
+            while last:
+                low = last & -last
+                found.append(chosen | low)
                 if cap is not None and len(found) >= cap:
                     return True
+                last ^= low
             return False
         max_cov = 0
         for u in range(n):
@@ -180,7 +195,11 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
         # as in _exists_cover, but over the options that are not banned
         branch_v, branch_opts = -1, 1 << 30
         used, packed = 0, 0
-        for v in iter_bits(undom):
+        m = undom
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             opts = closed[v] & ~banned
             if not opts & used:
                 packed += 1
@@ -202,10 +221,14 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
                 return False
         hits = len(found)
         local_ban = banned
-        for u in iter_bits(closed[branch_v] & allowed):
-            if rec(chosen | (1 << u), dominated | closed[u], local_ban, remaining - 1):
+        m = closed[branch_v] & allowed
+        while m:
+            low = m & -m
+            m ^= low
+            if rec(chosen | low, dominated | closed[low.bit_length() - 1], local_ban,
+                   remaining - 1):
                 return True
-            local_ban |= 1 << u
+            local_ban |= low
         if key is not None and len(found) == hits:
             failed.add(key)
         return False

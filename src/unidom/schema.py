@@ -81,6 +81,13 @@ def _validate_scan_counts(doc, problems: list[str]) -> None:
              "masks_visited must lie between 0 and graphs_scanned")
 
 
+def _validate_witnesses(doc, problems: list[str]) -> bool:
+    witnesses = doc.get("witnesses")
+    return _err(problems, isinstance(witnesses, list)
+                and all(isinstance(w, str) for w in witnesses),
+                "witnesses must be a list of graph6 strings")
+
+
 def validate_document(doc) -> list[str]:
     """Validate any top-level CLI JSON document; [] means valid."""
     problems: list[str] = []
@@ -113,13 +120,17 @@ def validate_document(doc) -> list[str]:
         _err(problems, _is_int(doc.get("gamma")), "gamma must be an int")
         ms = doc.get("max_size")
         _err(problems, ms is None or _is_int(ms), "max_size must be int or null")
-        _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
+        if _validate_witnesses(doc, problems):
+            _err(problems, (ms is None) == (not doc["witnesses"]),
+                 "max_size must be null exactly when there are no witnesses")
         _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
     elif kind == "witness_count":
         for key in ("n", "gamma", "size", "count"):
             _err(problems, _is_int(doc.get(key)), f"{key} must be an int")
-        _err(problems, isinstance(doc.get("witnesses"), list), "witnesses must be a list")
+        if _validate_witnesses(doc, problems):
+            _err(problems, doc.get("count") == len(doc["witnesses"]),
+                 "count must equal the number of witnesses")
         _validate_scan_counts(doc, problems)
         _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
     elif kind == "iso":

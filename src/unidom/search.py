@@ -12,7 +12,13 @@ row and column permutation of that form (Lubiw, "Doubly lexical orderings
 of matrices", 1987), so no graph is missed; witnesses are still merged into
 classes by isomorphism, since several double-lex matrices can describe the
 same graph.  The tests check this enumeration against the unreduced scan
-of every labeled mask for all small orders.
+of every labeled mask for all small orders, and against a Burnside count of
+the matrices up to row and column permutations for larger ones.
+
+The per-matrix path is kept lean: the row tables the generator consults
+are built once per column count, the last row is read from the rows of the
+weight still needed instead of recursing once more, and ``closed`` is
+filled in one pass over the set bits of each row.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
 serves both searches: the maximum search lists every block from dense to
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, Iterator, Optional
@@ -99,6 +106,22 @@ def _assert_unique_domination_properties(g: Graph, gamma: int, dset: int) -> Non
             )
 
 
+@cache
+def _row_tables(q: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Tables over the q-bit rows, built on first use for each q.
+
+    ``weight[r]`` is the number of ones in row r, ``most[r]`` the largest
+    weight of any row r' <= r, and ``by_weight[w]`` the nonzero rows of
+    weight w in decreasing order.
+    """
+    weight = [r.bit_count() for r in range(1 << q)]
+    most = list(accumulate(weight, max))
+    by_weight: list[list[int]] = [[] for _ in range(q + 1)]
+    for r in range((1 << q) - 1, 0, -1):
+        by_weight[weight[r]].append(r)
+    return weight, most, by_weight
+
+
 def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
     """Yield every k x q 0/1 matrix in double-lex form with exactly ``s``
     ones and no zero row or column.
@@ -108,19 +131,25 @@ def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
     to bottom, is lexicographically at most column j+1.  Rows are chosen top
     to bottom; ``tied`` keeps bit j set while columns j and j+1 are still
     equal, which is when a row may not put a one in column j without one in
-    column j+1.
+    column j+1.  The last row must hold exactly the ones left, so it is
+    taken from the rows of that weight without another level of recursion.
     """
     if k == 0 or not k <= s <= k * q:
         return
-    weight = [r.bit_count() for r in range(1 << q)]
-    # most[r]: the largest weight of any row r' <= r
-    most = list(accumulate(weight, max))
+    weight, most, by_weight = _row_tables(q)
     rows = [0] * k
+    last = k - 1
 
     def extend(i: int, prev: int, tied: int, left: int, cols: int):
-        if i == k:
-            # column 0 is the least column: no column is empty iff it is not
-            if left == 0 and cols & 1:
+        if i == last:
+            # the rows above can leave more ones than one row holds
+            if left > q:
+                return
+            for r in by_weight[left]:
+                # column 0 is the least column: no column is empty iff it is not
+                if r > prev or r & ~(r >> 1) & tied or not (cols | r) & 1:
+                    continue
+                rows[i] = r
                 yield tuple(rows)
             return
         rows_left = k - i
@@ -150,31 +179,30 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
     full = (1 << n) - 1
     found: list[tuple[str, Graph]] = []
     visited = 0
+    col_loops = [1 << v for v in range(k, n)]
     if deadline is not None and time.monotonic() >= deadline:
         return found, visited, True
     for rows in _double_lex_matrices(k, q, s):
         visited += 1
         if deadline is not None and time.monotonic() >= deadline:
             return found, visited, True
-        cols = [0] * q
+        # row i's vertex is i and column j's is k + j
+        closed = [0] * k + col_loops
         for i, r in enumerate(rows):
-            for j in iter_bits(r):
-                cols[j] |= 1 << i
-        closed = [0] * n
-        for i in range(k):
-            closed[i] = (rows[i] << k) | (1 << i)
-        for j in range(q):
-            closed[k + j] = cols[j] | (1 << (k + j))
+            bit = 1 << i
+            r <<= k
+            closed[i] = r | bit
+            while r:
+                low = r & -r
+                closed[low.bit_length() - 1] |= bit
+                r ^= low
         # domination number must be exactly gamma, with a unique witness
         if gamma > 1 and _exists_cover(closed, full, gamma - 1):
             continue
         sets = _enumerate_covers(closed, full, gamma, cap=2)
         if len(sets) != 1:
             continue
-        adj = tuple(
-            (rows[v] << k) if v < k else cols[v - k] for v in range(n)
-        )
-        g = Graph(n, adj)
+        g = Graph(n, tuple(c ^ (1 << v) for v, c in enumerate(closed)))
         _assert_unique_domination_properties(g, gamma, sets[0])
         found.append((emit_graph6(g), g))
         if stop_on_first:

@@ -442,8 +442,11 @@ _VALID = {
                           "epn": {"0": [2]}, "perfect": True, "epn_condition": True},
                "warnings": [], "expectations": {}},
     "search": {"schema": "unidom/1", "kind": "search", "n": 6, "gamma": 2,
-               "max_size": 6, "witnesses": [], "graphs_scanned": 5,
+               "max_size": 6, "witnesses": ["ECr_"], "graphs_scanned": 5,
                "masks_visited": 3, "complete": True},
+    "witness_count": {"schema": "unidom/1", "kind": "witness_count", "n": 6,
+                      "gamma": 2, "size": 6, "count": 2, "witnesses": ["ECr_", "EDr?"],
+                      "graphs_scanned": 5, "masks_visited": 3, "complete": True},
 }
 
 
@@ -465,6 +468,24 @@ def test_schema_rejects_bools_and_bad_fractions(kind, report, fields):
     assert validate_document(doc) == []
     (doc["report"] if report else doc).update(fields)
     assert validate_document(doc) != []
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("witness_count", {"count": 3}, "count must equal"),
+    ("witness_count", {"count": 0, "witnesses": []}, None),
+    ("witness_count", {"witnesses": [1, None]}, "graph6 strings"),
+    ("search", {"witnesses": [1, None]}, "graph6 strings"),
+    ("search", {"max_size": None}, "max_size must be null exactly"),
+    ("search", {"witnesses": []}, "max_size must be null exactly"),
+    ("search", {"max_size": None, "witnesses": []}, None),
+])
+def test_schema_checks_witness_consistency(kind, fields, message):
+    doc = {**_VALID[kind], **fields}
+    problems = validate_document(doc)
+    if message is None:
+        assert problems == []
+    else:
+        assert any(message in p for p in problems), problems
 
 
 class TestComplementCommand:

@@ -1,6 +1,7 @@
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -99,6 +100,114 @@ def _unreduced_scan_block(n, k, s, gamma):
             continue
         found.append((k, rows))
     return found, visited
+
+
+def _reference_double_lex(k, q, s, leftovers=None):
+    """The double-lex generator as first written: one recursion level per
+    row, tables rebuilt per call.  ``leftovers``, when given, collects the
+    ones left for each last row the recursion reaches."""
+    if k == 0 or not k <= s <= k * q:
+        return
+    weight = [r.bit_count() for r in range(1 << q)]
+    most = list(accumulate(weight, max))
+    rows = [0] * k
+
+    def extend(i, prev, tied, left, cols):
+        if i == k:
+            if left == 0 and cols & 1:
+                yield tuple(rows)
+            return
+        if leftovers is not None and i == k - 1:
+            leftovers.append(left)
+        rows_left = k - i
+        for r in range(prev, 0, -1):
+            if left > rows_left * most[r]:
+                break
+            if r & ~(r >> 1) & tied:
+                continue
+            rest = left - weight[r]
+            if rest < rows_left - 1:
+                continue
+            rows[i] = r
+            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r)
+
+    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0)
+
+
+# ---------------------------------------------------------------------------
+# orbit count: S_k x S_q orbits of k x q matrices, by Burnside's lemma
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def _class_size(parts):
+    # permutations of sum(parts) points whose cycle lengths are ``parts``
+    z = 1
+    for length, mult in Counter(parts).items():
+        z *= length ** mult * factorial(mult)
+    return factorial(sum(parts)) // z
+
+
+@lru_cache(maxsize=None)
+def _orbits_by_ones(k, q):
+    """Entry s: the orbits of k x q 0/1 matrices with s ones under row and
+    column permutations, zero rows and columns allowed.
+
+    A row cycle of length a and a column cycle of length b split the cells
+    they cross into gcd(a, b) cycles of length lcm(a, b); a fixed matrix is
+    constant on each cell cycle, so the fixed matrices of one permutation
+    pair are counted by the product of (1 + x^lcm)^gcd."""
+    total = [0] * (k * q + 1)
+    for lam in _partitions(k):
+        for mu in _partitions(q):
+            poly = [1]
+            for a in lam:
+                for b in mu:
+                    length = a * b // gcd(a, b)
+                    for _ in range(gcd(a, b)):
+                        poly = [c + (poly[i - length] if i >= length else 0)
+                                for i, c in enumerate(poly + [0] * length)]
+            weight = _class_size(lam) * _class_size(mu)
+            for s, c in enumerate(poly):
+                total[s] += weight * c
+    group = factorial(k) * factorial(q)
+    assert all(t % group == 0 for t in total)
+    return [t // group for t in total]
+
+
+def _isolate_free_orbits(k, q, s):
+    """Orbits with no zero row or column.  An orbit with i zero rows and j
+    zero columns is one of a (k-i) x (q-j) isolate-free orbit, so the counts
+    with zeros allowed are 2D prefix sums of these; difference them."""
+    def with_zeros(a, b):
+        if a < 0 or b < 0:
+            return 0
+        by_ones = _orbits_by_ones(a, b)
+        return by_ones[s] if s < len(by_ones) else 0
+    return (with_zeros(k, q) - with_zeros(k - 1, q) - with_zeros(k, q - 1)
+            + with_zeros(k - 1, q - 1))
+
+
+@lru_cache(maxsize=None)
+def _bit_permutations(k):
+    # each permutation of k bit positions, tabled over every k-bit value
+    return [[sum((c >> p[j] & 1) << j for j in range(k)) for c in range(1 << k)]
+            for p in permutations(range(k))]
+
+
+def _row_canonical(rows, q):
+    # _canonical of the transpose: every permutation of the k rows applied
+    # to each column, the columns sorted
+    cols = _transpose(rows, q)
+    return min(tuple(sorted(table[c] for c in cols)) for table in _bit_permutations(len(rows)))
 
 
 @lru_cache(maxsize=None)
@@ -208,6 +317,46 @@ class TestDoubleLexGenerator:
 
     def test_no_side_no_matrix(self):
         assert list(_double_lex_matrices(0, 5, 0)) == []
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_same_sequence_as_reference_small(self, k):
+        for q in range(1, 7):
+            for s in range(k * q + 2):
+                assert (list(_double_lex_matrices(k, q, s))
+                        == list(_reference_double_lex(k, q, s)))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_same_sequence_as_reference_by_order(self, n):
+        for k in range(n // 2 + 1):
+            for s in range(k * (n - k) + 1):
+                assert (list(_double_lex_matrices(k, n - k, s))
+                        == list(_reference_double_lex(k, n - k, s)))
+
+    @pytest.mark.parametrize("k,q,s", [(2, 4, 6), (2, 6, 10), (3, 5, 11), (3, 6, 13),
+                                       (4, 4, 11), (5, 6, 20)])
+    def test_last_row_with_more_ones_left_than_columns(self, k, q, s):
+        leftovers = []
+        expected = list(_reference_double_lex(k, q, s, leftovers))
+        assert any(left > q for left in leftovers)
+        assert list(_double_lex_matrices(k, q, s)) == expected
+
+
+class TestOrbitCount:
+    @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 4) for q in range(1, 4)])
+    def test_count_matches_brute_force(self, k, q):
+        for s in range(k * q + 1):
+            every = [rows for rows in _labeled_matrices(k, q, s) if _isolate_free(rows, q)]
+            assert _isolate_free_orbits(k, q, s) == len({_canonical(r, q) for r in every})
+
+    @pytest.mark.parametrize("n", [*range(2, 10), *(pytest.param(n, marks=pytest.mark.extended)
+                                                   for n in (10, 11))])
+    def test_generator_reaches_every_orbit(self, n):
+        # every side split k <= n/2 and every edge count of it
+        for k in range(1, n // 2 + 1):
+            q = n - k
+            for s in range(k, k * q + 1):
+                forms = {_row_canonical(rows, q) for rows in _double_lex_matrices(k, q, s)}
+                assert len(forms) == _isolate_free_orbits(k, q, s), (k, q, s)
 
 
 class TestMaxSearch:
