@@ -4,7 +4,10 @@ Each graph stores one adjacency bitmask per vertex, so neighborhood unions,
 domination tests and complement arithmetic are single integer operations.
 This module also carries the structural toolbox the rest of the package is
 built on: two-coloring, bipartite complement, graph6 / edge-list / DOT
-serialization, and a small-order isomorphism test.
+serialization, and a small-order isomorphism test.  The test color-refines
+each graph once on its own, into an invariant key and a vertex coloring, and
+then backtracks only over maps between vertices of equal color; the search
+reuses the two steps to merge witnesses by key.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ class Graph:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
+    # checked before the rows are allocated, so a huge order fails at once
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -301,72 +307,77 @@ def emit_dot(g: Graph, labels: Optional[Mapping[int, str]] = None,
 # isomorphism
 
 
-def _joint_refinement(g: Graph, h: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """Iterated neighbor-color refinement run jointly over both graphs.
+def _refine(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """Color refinement (1-dimensional Weisfeiler-Leman) of ``g`` on its own.
 
-    Returns per-vertex colors drawn from a shared palette, or None once the
-    color histograms diverge (then no isomorphism exists).
+    Colors start as degrees; each round recolors every vertex by a hash of
+    its own color and the sorted colors of its neighbors, until a round adds
+    no color class.  A color depends only on that signature, never on vertex
+    numbers, so ``key`` (the sorted colors) is an isomorphism invariant that
+    can be compared across graphs refined at different times.  A hash
+    collision only coarsens the coloring, which the exact match tolerates.
+    Returns ``(key, colors)`` with ``colors[v]`` the color of vertex v.
     """
-    cg = [g.degree(v) for v in range(g.n)]
-    ch = [h.degree(v) for v in range(h.n)]
-    for _ in range(max(g.n, 1)):
-        table: dict[tuple, int] = {}
-
-        def recolor(graph: Graph, colors: list[int]) -> list[int]:
-            out = []
-            for v in range(graph.n):
-                sig = (colors[v], tuple(sorted(colors[u] for u in iter_bits(graph.adj[v]))))
-                out.append(table.setdefault(sig, len(table)))
-            return out
-
-        ng, nh = recolor(g, cg), recolor(h, ch)
-        if sorted(ng) != sorted(nh):
-            return None
-        if ng == cg and nh == ch:
+    adj = g.adj
+    colors = [row.bit_count() for row in adj]
+    classes = len(set(colors))
+    while True:
+        nxt = []
+        for v, row in enumerate(adj):
+            nbr = []
+            while row:
+                low = row & -row
+                nbr.append(colors[low.bit_length() - 1])
+                row ^= low
+            nbr.sort()
+            nxt.append(hash((colors[v], tuple(nbr))))
+        grown = len(set(nxt))
+        if grown <= classes:
             break
-        cg, ch = ng, nh
-    return cg, ch
+        colors, classes = nxt, grown
+    return tuple(sorted(colors)), colors
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test, intended for small orders (n <= 12 or so)."""
-    if g.n != h.n or g.size() != h.size():
-        return False
-    if degree_sequence(g) != degree_sequence(h):
-        return False
-    refined = _joint_refinement(g, h)
-    if refined is None:
-        return False
-    cg, ch = refined
+def _match(g: Graph, cg: list[int], h: Graph, ch: list[int]) -> bool:
+    """Backtracking search for an isomorphism from ``g`` to ``h`` that maps
+    each vertex to one of the same color.  ``cg`` and ``ch`` come from
+    ``_refine``, and the two refinement keys must be equal."""
     by_color: dict[int, list[int]] = {}
-    for w in range(h.n):
-        by_color.setdefault(ch[w], []).append(w)
+    for w, c in enumerate(ch):
+        by_color.setdefault(c, []).append(w)
     # map the most constrained vertices first
     order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), cg[v], v))
     image = [-1] * g.n
-    used = 0
 
-    def extend(pos: int) -> bool:
-        nonlocal used
+    def extend(pos: int, placed: int, used: int) -> bool:
         if pos == g.n:
             return True
         v = order[pos]
+        # the images of v's already placed neighbors are exactly the placed
+        # vertices an image of v must be adjacent to
+        want = 0
+        for u in iter_bits(g.adj[v] & placed):
+            want |= 1 << image[u]
         for w in by_color[cg[v]]:
-            if (used >> w) & 1:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                if ((g.adj[v] >> prev) & 1) != ((h.adj[w] >> image[prev]) & 1):
-                    ok = False
-                    break
-            if not ok:
+            if (used >> w) & 1 or h.adj[w] & used != want:
                 continue
             image[v] = w
-            used |= 1 << w
-            if extend(pos + 1):
+            if extend(pos + 1, placed | (1 << v), used | (1 << w)):
                 return True
-            image[v] = -1
-            used &= ~(1 << w)
         return False
 
-    return extend(0)
+    return extend(0, 0, 0)
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test, intended for small orders (n <= 12 or so).
+
+    Each graph is color-refined once on its own (``_refine``); graphs whose
+    refinement keys differ are not isomorphic, and otherwise a backtracking
+    match restricted to equal colors decides (``_match``).
+    """
+    if g.n != h.n or g.size() != h.size():
+        return False
+    key_g, cg = _refine(g)
+    key_h, ch = _refine(h)
+    return key_g == key_h and _match(g, cg, h, ch)

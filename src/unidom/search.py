@@ -11,7 +11,9 @@ nonincreasing, columns ordered lexicographically.  Every 0/1 matrix has a
 row and column permutation of that form (Lubiw, "Doubly lexical orderings
 of matrices", 1987), so no graph is missed; witnesses are still merged into
 classes by isomorphism, since several double-lex matrices can describe the
-same graph.  The tests check this enumeration against the unreduced scan
+same graph.  Each witness is color-refined once into an isomorphism-invariant
+key, and the exact match runs only against the class representatives that
+share its key.  The tests check this enumeration against the unreduced scan
 of every labeled mask for all small orders, and against a Burnside count of
 the matrices up to row and column permutations for larger ones.
 
@@ -39,7 +41,8 @@ from typing import Callable, Iterator, Optional
 
 from .bounds import min_forest_edges
 from .domination import _enumerate_covers, _exists_cover
-from .graph import Graph, are_isomorphic, emit_graph6, iter_bits
+from .graph import Graph, _match, _refine, emit_graph6, iter_bits
+from .graph import are_isomorphic  # noqa: F401  (still importable from this module)
 
 HARD_CAP = 12
 
@@ -211,9 +214,20 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
 
 
 def _merge_classes(classes: list[tuple[str, Graph]],
-                   found: list[tuple[str, Graph]]) -> None:
+                   found: list[tuple[str, Graph]],
+                   index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]]) -> None:
+    """Append to ``classes`` each found witness isomorphic to no class yet.
+
+    ``index`` maps a refinement key to the representatives (with their
+    colorings) of the classes that share it, so each witness is refined once
+    and matched only against those.  The first-found member of a class stays
+    its representative.
+    """
     for g6, g in found:
-        if not any(are_isomorphic(g, rep) for _, rep in classes):
+        key, colors = _refine(g)
+        reps = index.setdefault(key, [])
+        if not any(_match(g, colors, rep, rep_colors) for rep, rep_colors in reps):
+            reps.append((g, colors))
             classes.append((g6, g))
 
 
@@ -232,6 +246,7 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
     scanned = 0
     masks_visited = 0
     classes: list[tuple[str, Graph]] = []
+    index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
     complete = True
     for k, s in blocks:
         block_size = comb(k * (n - k), s)
@@ -253,7 +268,8 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
                 if s > best:
                     best = s
                     classes = []
-                _merge_classes(classes, found)
+                    index = {}
+                _merge_classes(classes, found, index)
         if progress:
             progress(scanned, best)
         if not complete:

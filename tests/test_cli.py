@@ -223,6 +223,16 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("n", ["10000000000000000000", "65"])
+    def test_edge_list_order_over_cap_is_usage_error(self, capsys, tmp_path, n):
+        # the order is checked before any row is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{n} 0\n")
+        code, out, err = run(capsys, ["verify", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: vertex count {n} outside 0..64"]
+
 
 class TestSearchCommand:
     def test_max_json(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unidom import (
+    MAX_VERTICES,
     Bipartition,
     Graph,
     Graph6Error,
@@ -22,7 +23,14 @@ from unidom import (
     parse_graph6,
 )
 
+from unidom.graph import _match, _refine
+
 from conftest import bipartite_graphs, brute_force_isomorphic, graphs, random_bipartite
+
+try:
+    import networkx as nx
+except ImportError:  # test-only cross-oracle
+    nx = None
 
 
 def path(n):
@@ -61,6 +69,12 @@ class TestFromEdgeList:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             Graph(65, tuple([0] * 65))
+
+    @pytest.mark.parametrize("n", [-1, MAX_VERTICES + 1, 10**19])
+    def test_order_checked_before_allocation(self, n):
+        # 10**19 does not fit an index: allocating its rows would overflow
+        with pytest.raises(ValueError, match=f"vertex count {n} outside"):
+            from_edge_list(n, [])
 
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError):
@@ -252,11 +266,156 @@ class TestEdgeListFormat:
             parse_edge_list(f"3 2\n0 1\n{second}\n")
 
 
+@st.composite
+def any_order_graphs(draw, min_n: int = 0):
+    """Graphs of every order up to the cap, biased towards the 4-byte
+    graph6 order form (n >= 63), at a drawn edge density."""
+    n = draw(st.integers(min_n, MAX_VERTICES) | st.integers(62, MAX_VERTICES))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < density])
+
+
+def _with_header(g, extra_lines, extra_edges):
+    """``g``'s edge list with ``extra_lines`` appended and the header's edge
+    count raised by ``extra_edges``."""
+    lines = emit_edge_list(g).splitlines()
+    lines[0] = f"{g.n} {g.size() + extra_edges}"
+    return "\n".join(lines + extra_lines) + "\n"
+
+
+# whitespace is left out: parse_graph6 strips it from both ends of the line
+_NOT_G6 = st.characters().filter(lambda c: not 63 <= ord(c) <= 126 and not c.isspace())
+
+
+class TestParserProperties:
+    """Each parser on its own: exact round trips, and malformed input
+    raising the parser's ValueError and nothing else."""
+
+    @given(any_order_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_graph6_round_trip(self, g):
+        s = emit_graph6(g)
+        assert s.startswith("~") == (g.n >= 63)
+        assert len(s) == (4 if g.n >= 63 else 1) + (g.n * (g.n - 1) // 2 + 5) // 6
+        assert parse_graph6(s) == g
+
+    @given(any_order_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_edge_list_round_trip(self, g):
+        assert parse_edge_list(emit_edge_list(g)) == g
+
+    @given(st.text() | st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=130)))
+    @settings(max_examples=300)
+    def test_graph6_rejects_with_graph6_error_only(self, text):
+        try:
+            g = parse_graph6(text)
+        except Graph6Error:
+            return
+        assert parse_graph6(emit_graph6(g)) == g
+
+    @given(any_order_graphs(min_n=2))
+    @settings(max_examples=40, deadline=None)
+    def test_graph6_truncated_payload(self, g):
+        with pytest.raises(Graph6Error, match="truncated"):
+            parse_graph6(emit_graph6(g)[:-1])
+
+    @given(any_order_graphs(), st.integers(63, 126))
+    @settings(max_examples=40, deadline=None)
+    def test_graph6_trailing_payload(self, g, extra):
+        with pytest.raises(Graph6Error, match="trailing"):
+            parse_graph6(emit_graph6(g) + chr(extra))
+
+    @given(any_order_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graph6_byte_out_of_range(self, g, data):
+        s = emit_graph6(g)
+        i = data.draw(st.integers(0, len(s) - 1))
+        bad = s[:i] + data.draw(_NOT_G6) + s[i + 1:]
+        with pytest.raises(Graph6Error, match="outside graph6 range"):
+            parse_graph6(bad)
+
+    @given(st.text() | st.text(alphabet="0123456789 -#\n"))
+    @settings(max_examples=300)
+    def test_edge_list_rejects_with_value_error_only(self, text):
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            return
+        assert parse_edge_list(emit_edge_list(g)) == g
+
+    @given(any_order_graphs(), st.integers(-3, 3).filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_edge_list_header_count_mismatch(self, g, delta):
+        with pytest.raises(ValueError, match="header declares"):
+            parse_edge_list(_with_header(g, [], delta))
+
+    @given(any_order_graphs(min_n=2).filter(lambda g: g.size() > 0), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_list_repeated_edge(self, g, data):
+        u, v = data.draw(st.sampled_from(g.edges()))
+        line = data.draw(st.sampled_from([f"{u} {v}", f"{v} {u}"]))
+        with pytest.raises(ValueError, match="listed twice"):
+            parse_edge_list(_with_header(g, [line], 1))
+
+    @given(any_order_graphs(min_n=1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_list_self_loop(self, g, data):
+        v = data.draw(st.integers(0, g.n - 1))
+        with pytest.raises(ValueError, match="self-loop"):
+            parse_edge_list(_with_header(g, [f"{v} {v}"], 1))
+
+    @given(any_order_graphs(min_n=1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_list_endpoint_out_of_range(self, g, data):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(g.n, 10**20) | st.integers(-10**20, -1))
+        line = data.draw(st.sampled_from([f"{u} {v}", f"{v} {u}"]))
+        with pytest.raises(ValueError, match="outside"):
+            parse_edge_list(_with_header(g, [line], 1))
+
+    @given(any_order_graphs(), st.sampled_from(["x", "3.0", "1e3", "0x10", "n"]),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_list_non_integer_header(self, g, token, in_order_field):
+        lines = emit_edge_list(g).splitlines()
+        lines[0] = f"{token} {g.size()}" if in_order_field else f"{g.n} {token}"
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_edge_list("\n".join(lines) + "\n")
+
+
 class TestDot:
     def test_labels_present(self):
         g = from_edge_list(2, [(0, 1)])
         out = emit_dot(g, labels={0: "x1", 1: "b1,1"})
         assert 'label="x1"' in out and "0 -- 1;" in out
+
+
+def _relabel(g, perm):
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _swap_edges(g, side, rng, swaps):
+    """Apply up to ``swaps`` degree-preserving swaps that keep every edge
+    across ``side``: edges ab and cd with a, c on one side become ad, cb."""
+    edges = {(u, v) if (side >> u) & 1 else (v, u) for u, v in g.edges()}
+    for _ in range(swaps * 10):
+        if swaps == 0 or len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if a != c and b != d and (a, d) not in edges and (c, b) not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {(a, d), (c, b)}
+            swaps -= 1
+    return from_edge_list(g.n, edges)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 class TestIsomorphism:
@@ -286,6 +445,40 @@ class TestIsomorphism:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_brute_force(self, g, h):
         assert are_isomorphic(g, h) == brute_force_isomorphic(g, h)
+
+    def test_shared_refinement_key_not_isomorphic(self):
+        # both 2-regular and bipartite: refinement cannot split them
+        g = cycle(8)
+        h = from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+        assert _refine(g)[0] == _refine(h)[0]
+        assert not are_isomorphic(g, h)
+        assert are_isomorphic(g, _relabel(g, [3, 5, 0, 7, 2, 6, 1, 4]))
+
+    @given(graphs(max_n=10), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_refinement_invariant_under_relabeling(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        key, colors = _refine(g)
+        key_h, colors_h = _refine(_relabel(g, perm))
+        assert key_h == key
+        assert [colors_h[perm[v]] for v in range(g.n)] == colors
+        assert _match(g, colors, _relabel(g, perm), colors_h)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_agrees_with_networkx_on_equal_degree_sequences(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for _ in range(400):
+            g, side = random_bipartite(rng, rng.randint(4, 10), rng.choice([0.3, 0.5, 0.7]))
+            h = _relabel(_swap_edges(g, side, rng, rng.randint(1, 4)),
+                         rng.sample(range(g.n), g.n))
+            assert degree_sequence(h) == degree_sequence(g)
+            expected = nx.is_isomorphic(_nx(g), _nx(h))
+            assert are_isomorphic(g, h) == expected
+            outcomes.append(expected)
+        # both answers must be exercised, not only the easy one
+        assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
 
     def test_reflexive_symmetric_sample(self):
         rng = random.Random(7)

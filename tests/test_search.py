@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
@@ -20,7 +21,8 @@ from unidom import (
     verify_forest_lemma,
 )
 from unidom.domination import _enumerate_covers, _exists_cover
-from unidom.search import _double_lex_matrices
+from unidom.graph import _match, _refine, from_edge_list
+from unidom.search import _double_lex_matrices, _merge_classes
 
 try:
     import networkx as nx
@@ -507,3 +509,60 @@ class TestSearchInternals:
         max_umd_bipartite_size(6, 2, progress=lambda scanned, best: calls.append((scanned, best)))
         assert calls
         assert calls[-1][0] == _reduced_space_size(6)
+
+
+# Sorted witness lists as recorded with the earlier pairwise merge (every
+# witness tested against every class).  The first-found member of a class is
+# its representative, so a change to the merge must not move a single line.
+GOLDEN_COUNTS = {
+    (9, 2, 14): ["H?JVFBo", "H?NVFB_", "H?QuFbo", "H?QufBo", "H?UuFBo", "H?UufB_",
+                 "H?YefBo", "H?aufBo", "H?bVFBo", "H?bfFBo", "H?eVFBo", "H?eefBo",
+                 "H?fFFBo", "H?jEfBo", "H?jFFBo", "H?jVFB_", "H?nEfB_", "HAjFFB_"],
+    (9, 2, 16): ["H?Fffbo"],
+    (9, 3, 10): ["H?CeEb_", "H?GsEBo", "H?HDEBo", "H?ISeB_", "H?KsEB_", "H?KtEB?",
+                 "H?QSeB_", "H?edEB?"],
+    (10, 3, 15): ["I?BMeb_w?"],
+    (11, 3, 20): ["J??HeBw}Fo?"],
+}
+
+
+class TestMergeClasses:
+    @pytest.mark.parametrize("n,gamma,size", sorted(GOLDEN_COUNTS))
+    def test_golden_witness_lists(self, n, gamma, size):
+        assert count_extremal_witnesses(n, gamma, size).witnesses == GOLDEN_COUNTS[(n, gamma, size)]
+
+    def test_golden_9_3_maximum(self):
+        result = max_umd_bipartite_size(9, 3)
+        assert (result.max_size, result.witnesses) == (10, GOLDEN_COUNTS[(9, 3, 10)])
+
+    def test_shared_key_stays_two_classes(self):
+        # C8 and two disjoint C4s land in one key bucket; the match splits them
+        c8 = from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)])
+        two_c4 = from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                    (4, 5), (5, 6), (6, 7), (7, 4)])
+        c8_again = from_edge_list(8, [(3 * i % 8, (3 * i + 3) % 8) for i in range(8)])
+        classes, index = [], {}
+        _merge_classes(classes, [("c8", c8), ("2c4", two_c4), ("c8 again", c8_again)], index)
+        assert [name for name, _ in classes] == ["c8", "2c4"]
+        assert len(index) == 1
+        assert [rep for rep, _ in index[_refine(c8)[0]]] == [c8, two_c4]
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_atlas_with_relabelings(self):
+        rng = random.Random(1253)
+        originals, copies = [], []
+        for a in nx.graph_atlas_g():
+            g = from_edge_list(a.number_of_nodes(), list(a.edges()))
+            perm = rng.sample(range(g.n), g.n)
+            originals.append(g)
+            copies.append(from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        found = [(f"atlas {i}", g) for i, g in enumerate(originals)]
+        found += [(f"copy {i}", h) for i, h in enumerate(copies)]
+        classes, index = [], {}
+        _merge_classes(classes, found, index)
+        assert [name for name, _ in classes] == [f"atlas {i}" for i in range(1253)]
+        # each copy's bucket holds its original, and no other class there matches
+        for g, h in zip(originals, copies):
+            key, colors = _refine(h)
+            matches = [rep for rep, rep_colors in index[key] if _match(h, colors, rep, rep_colors)]
+            assert len(matches) == 1 and matches[0] is g
