@@ -17,6 +17,7 @@ from .bounds import (
     phi,
     star_bound,
     tau,
+    verify_forest_lemma,
     vizing_bound,
 )
 from .construct import (
@@ -61,7 +62,6 @@ from .search import (
     SearchResult,
     count_extremal_witnesses,
     max_umd_bipartite_size,
-    verify_forest_lemma,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

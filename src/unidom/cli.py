@@ -347,10 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,15 +5,24 @@ target size with branch-and-bound pruning, then certifies uniqueness by
 enumerating minimum dominating sets with a small cap (two suffice to decide).
 Private-neighborhood and perfect-domination predicates round out the module.
 
-Two lower bounds prune the search.  The coverage bound: ``u`` undominated
-vertices need at least ``u / c`` more dominators when no candidate covers
-more than ``c`` of them.  The 2-packing bound: undominated vertices whose
-remaining dominator options are pairwise disjoint each need a dominator of
-their own, so a greedy packing of them counts dominators still owed.  At the
-root the packing (taken over every vertex, fewest options first) starts the
-iterative deepening; for both extremal constructions it already equals
-gamma.  Inside the branch-and-bound it is taken on the undominated residue.
-Both bounds are only ever below the true cost, so no dominating set is lost.
+Both recursions, the existence test ``_exists_cover`` and the enumeration
+``_enumerate_covers``, take one node step.  With one pick left,
+``_last_picks`` intersects the undominated vertices' closed neighborhoods:
+the candidates in it finish the cover.  Otherwise ``_branch_step`` applies
+two lower bounds and picks the vertex to branch on, the undominated one with
+the fewest options.  The coverage bound: ``u`` undominated vertices need at
+least ``u / c`` more dominators when no vertex covers more than ``c`` of
+them.  The maximum ``c`` is taken over every vertex, banned ones included,
+which can only loosen the bound.  The 2-packing bound: undominated vertices
+whose remaining dominator options are pairwise disjoint each need a
+dominator of their own, so a greedy packing of them counts dominators still
+owed.  Both bounds are only ever below the true cost, so no dominating set
+is lost.
+
+The iterative deepening starts at the larger of ``ceil(n / (Delta + 1))``
+and the packing at the root (taken over every vertex, fewest options first)
+and counts up until a cover exists; no greedy upper bound is computed.  For
+both extremal constructions the start already equals gamma.
 
 The uniqueness enumeration adds three exact shortcuts (detailed on
 ``_enumerate_covers``).  When the residue's packing owes exactly the picks
@@ -22,9 +31,8 @@ candidates are branched on.  A failure memo records, below the root and with
 more than two picks left, each residual hitting-set problem
 ``(remaining, {options of each undominated vertex})`` whose subtree found no
 set, and prunes it when it recurs.  On the Fischermann family the cap-2
-proof took 1.5 * 2^gamma nodes and now takes 6 * gamma - 3.  With one pick
-left, the candidates are the intersection of the undominated vertices'
-closed neighborhoods, which ``_exists_cover`` uses at ``k == 1`` as well.
+proof took 1.5 * 2^gamma nodes and now takes 6 * gamma - 3.  The last pick
+is emitted straight from ``_last_picks``, in bit order.
 """
 
 from __future__ import annotations
@@ -53,21 +61,6 @@ def is_dominating(g: Graph, s: int) -> bool:
 # core search over closed-neighborhood arrays (no Graph objects in the loop)
 
 
-def _greedy_cover_size(closed: list[int], full: int) -> int:
-    dominated = 0
-    count = 0
-    while dominated != full:
-        undom = full & ~dominated
-        best_u, best_gain = -1, -1
-        for u in range(len(closed)):
-            gain = (closed[u] & undom).bit_count()
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        dominated |= closed[best_u]
-        count += 1
-    return count
-
-
 def _packing_size(closed: list[int]) -> int:
     """Size of a greedy 2-packing: vertices with pairwise disjoint closed
     neighborhoods, taken fewest options first.  A lower bound on gamma."""
@@ -80,6 +73,57 @@ def _packing_size(closed: list[int]) -> int:
     return packed
 
 
+def _last_picks(closed: list[int], undom: int, allowed: int) -> int:
+    """The ``allowed`` vertices whose closed neighborhood holds all of ``undom``:
+    the candidates that finish the cover with one pick."""
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        allowed &= closed[low.bit_length() - 1]
+    return allowed
+
+
+def _branch_step(closed: list[int], undom: int, banned: int,
+                 k: int) -> tuple[int, int, int] | None:
+    """Bound one search node, and choose its branch vertex.
+
+    ``undom`` is what is left to dominate with at most ``k`` more picks, none
+    of them from ``banned``.  Returns None when the coverage or the packing
+    bound shows that ``k`` picks cannot do it, or when some undominated vertex
+    has no unbanned option left.  Otherwise returns ``(branch_v, packed,
+    used)``: the undominated vertex with the fewest unbanned options (the
+    lowest-numbered one on ties), and the size and union of a greedy packing
+    of pairwise disjoint option sets taken in bit order.
+    """
+    max_cov = 0
+    for nb in closed:
+        cov = (nb & undom).bit_count()
+        if cov > max_cov:
+            max_cov = cov
+    if undom.bit_count() > k * max_cov:
+        return None
+    branch_v, branch_opts = -1, 1 << 30
+    used, packed = 0, 0
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        opts = closed[v] & ~banned
+        if not opts & used:
+            packed += 1
+            if packed > k:
+                return None
+            used |= opts
+        c = opts.bit_count()
+        if c < branch_opts:
+            if c == 0:
+                return None
+            branch_v, branch_opts = v, c
+    return branch_v, packed, used
+
+
 def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> bool:
     """Does some set of at most ``k`` vertices dominate the rest?"""
     if dominated == full:
@@ -88,40 +132,11 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> b
         return False
     undom = full & ~dominated
     if k == 1:
-        # one pick must dominate every undominated vertex at once
-        last = full
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            last &= closed[low.bit_length() - 1]
-        return last != 0
-    max_cov = 0
-    for u in range(len(closed)):
-        c = (closed[u] & undom).bit_count()
-        if c > max_cov:
-            max_cov = c
-    if undom.bit_count() > k * max_cov:
+        return _last_picks(closed, undom, full) != 0
+    step = _branch_step(closed, undom, 0, k)
+    if step is None:
         return False
-    # branch on the vertex with the fewest ways to become dominated, and pack
-    # undominated vertices whose dominator options are pairwise disjoint
-    branch_v, branch_opts = -1, 1 << 30
-    used, packed = 0, 0
-    m = undom
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        opts = closed[v]
-        if not opts & used:
-            packed += 1
-            if packed > k:
-                return False
-            used |= opts
-        c = opts.bit_count()
-        if c < branch_opts:
-            branch_v, branch_opts = v, c
-    m = closed[branch_v]
+    m = closed[step[0]]
     while m:
         low = m & -m
         m ^= low
@@ -157,7 +172,6 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
       undominated vertex are the intersection of their closed
       neighborhoods; they are emitted in bit order.
     """
-    n = len(closed)
     found: list[int] = []
     failed: set[tuple[int, frozenset[int]]] = set()
 
@@ -170,12 +184,7 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
             return False
         undom = full & ~dominated
         if remaining == 1:
-            last = full & ~banned
-            m = undom
-            while m:
-                low = m & -m
-                m ^= low
-                last &= closed[low.bit_length() - 1]
+            last = _last_picks(closed, undom, full & ~banned)
             while last:
                 low = last & -last
                 found.append(chosen | low)
@@ -183,34 +192,10 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
                     return True
                 last ^= low
             return False
-        max_cov = 0
-        for u in range(n):
-            if (banned >> u) & 1:
-                continue
-            c = (closed[u] & undom).bit_count()
-            if c > max_cov:
-                max_cov = c
-        if undom.bit_count() > remaining * max_cov:
+        step = _branch_step(closed, undom, banned, remaining)
+        if step is None:
             return False
-        # as in _exists_cover, but over the options that are not banned
-        branch_v, branch_opts = -1, 1 << 30
-        used, packed = 0, 0
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            opts = closed[v] & ~banned
-            if not opts & used:
-                packed += 1
-                if packed > remaining:
-                    return False
-                used |= opts
-            c = opts.bit_count()
-            if c < branch_opts:
-                if c == 0:
-                    return False
-                branch_v, branch_opts = v, c
+        branch_v, packed, used = step
         allowed = full & ~banned
         if packed == remaining:
             allowed &= used
@@ -246,14 +231,11 @@ def domination_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     closed = closed_neighborhoods(g)
-    full = g.full_mask
-    ub = _greedy_cover_size(closed, full)
     biggest = max(c.bit_count() for c in closed)
-    lb = max(-(-g.n // biggest), _packing_size(closed))
-    for k in range(lb, ub):
-        if _exists_cover(closed, full, k):
-            return k
-    return ub
+    k = max(-(-g.n // biggest), _packing_size(closed))
+    while not _exists_cover(closed, g.full_mask, k):
+        k += 1
+    return k
 
 
 def enumerate_minimum_dominating_sets(g: Graph, cap: int | None = None) -> list[int]:

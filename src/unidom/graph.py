@@ -262,8 +262,20 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_list_int(token: str) -> int:
+    # int() alone would also take '+3', '1_0' and digits of other scripts;
+    # a minus sign stays, so a negative number fails the range checks instead
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int: {token!r} (ASCII digits only)")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse an ``n m`` header followed by exactly m distinct ``u v`` lines."""
+    """Parse an ``n m`` header followed by exactly m distinct ``u v`` lines.
+
+    Every number is written in ASCII digits, with an optional minus sign.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -271,7 +283,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("edge-list header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _edge_list_int(head[0]), _edge_list_int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1} edge lines")
     edges = []
@@ -280,7 +292,7 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _edge_list_int(parts[0]), _edge_list_int(parts[1])
         if frozenset((u, v)) in seen:
             raise ValueError(f"edge {u} {v} is listed twice")
         seen.add(frozenset((u, v)))

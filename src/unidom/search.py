@@ -35,14 +35,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .bounds import min_forest_edges
-from .domination import _enumerate_covers, _exists_cover
+from .domination import _enumerate_covers, _exists_cover, exterior_private_neighbors
 from .graph import Graph, _match, _refine, emit_graph6, iter_bits
-from .graph import are_isomorphic  # noqa: F401  (still importable from this module)
 
 HARD_CAP = 12
 
@@ -98,11 +96,7 @@ def _assert_unique_domination_properties(g: Graph, gamma: int, dset: int) -> Non
             f"unique minimum dominating set on n={g.n} < 3*gamma={3 * gamma}"
         )
     for v in iter_bits(dset):
-        target = 1 << v
-        count = 0
-        for u in iter_bits(g.full_mask & ~dset):
-            if g.adj[u] & dset == target:
-                count += 1
+        count = exterior_private_neighbors(g, v, dset).bit_count()
         if count < 2:
             raise AssertionError(
                 f"dominator {v} has {count} exterior private neighbors"
@@ -326,45 +320,3 @@ def count_extremal_witnesses(n: int, gamma: int, size: int,
     blocks = [(k, size) for k in range(n // 2 + 1) if size <= k * (n - k)]
     return _search(n, gamma, blocks, budget,
                    stop_on_first=False, progress=progress, size=size)
-
-
-# ---------------------------------------------------------------------------
-# forest minimum check
-
-
-def _components_ok(n: int, edge_set: tuple[tuple[int, int], ...]) -> bool:
-    # qualifies iff no isolated vertex and no two-vertex component
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = 0
-    for u, v in edge_set:
-        touched |= (1 << u) | (1 << v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    if touched != (1 << n) - 1:
-        return False
-    sizes: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return all(c >= 3 for c in sizes.values())
-
-
-def verify_forest_lemma(n: int) -> bool:
-    """Brute-force the minimum size over all labeled order-n graphs with no
-    isolated vertices and no two-vertex components; compare to the formula."""
-    if not 3 <= n <= 7:
-        raise ValueError("brute force supported for 3 <= n <= 7")
-    pairs = list(combinations(range(n), 2))
-    for s in range(len(pairs) + 1):
-        for edge_set in combinations(pairs, s):
-            if _components_ok(n, edge_set):
-                return s == min_forest_edges(n)
-    raise AssertionError("no qualifying graph found")  # unreachable for n >= 3

@@ -223,6 +223,19 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("text, token", [
+        ("1_0 0\n", "'1_0'"),
+        ("3 1\n0 \u0661\n", "'\u0661'"),
+    ])
+    def test_edge_list_non_ascii_number_is_usage_error(self, capsys, tmp_path, text, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["verify", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {path}: invalid literal for int: {token} (ASCII digits only)"]
+
     @pytest.mark.parametrize("n", ["10000000000000000000", "65"])
     def test_edge_list_order_over_cap_is_usage_error(self, capsys, tmp_path, n):
         # the order is checked before any row is allocated

@@ -23,7 +23,7 @@ from unidom import (
     parse_graph6,
 )
 from unidom.construct import construct_bipartite, construct_fischermann
-from unidom.domination import _packing_size, closed_neighborhoods
+from unidom.domination import _branch_step, _last_picks, _packing_size, closed_neighborhoods
 
 from conftest import (
     assert_unique_domination_theory,
@@ -77,6 +77,13 @@ class TestDominationNumber:
 
     def test_empty_graph(self):
         assert domination_number(from_edge_list(0, [])) == 0
+
+    def test_degree_bound_above_packing(self):
+        # K_{3,3}: every two closed neighborhoods meet, so the packing is 1,
+        # while ceil(n / (Delta + 1)) = 2 is the start, and gamma itself
+        g = from_edge_list(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        assert _packing_size(closed_neighborhoods(g)) == 1
+        assert domination_number(g) == 2
 
     @given(graphs(max_n=8))
     @settings(max_examples=120)
@@ -271,6 +278,49 @@ class TestPackingBound:
                     g, _ = builder(n, gamma)
                     assert _packing_size(closed_neighborhoods(g)) == gamma
                     assert domination_number(g) == gamma
+
+
+class TestNodeStep:
+    """The node step both solver recursions share."""
+
+    def test_packing_cut_without_coverage_cut(self):
+        # a star on 0..4 and two isolated vertices: the center covers five of
+        # the seven, so two picks pass the coverage bound, but the options of
+        # 0, 5 and 6 are pairwise disjoint and need three
+        g = from_edge_list(7, [(0, v) for v in range(1, 5)])
+        closed = closed_neighborhoods(g)
+        assert max(c.bit_count() for c in closed) == 5
+        assert _branch_step(closed, g.full_mask, 0, 2) is None
+        # with three picks: branch on 5, the first vertex with one option
+        assert _branch_step(closed, g.full_mask, 0, 3) == (5, 3, g.full_mask)
+
+    def test_coverage_cut_without_packing_cut(self):
+        # P4 6-0-2-3 and P3 1-4-5: no vertex covers more than three of the
+        # seven, so two picks fall short, though the packing in bit order
+        # (the options of 0, then of 1) is only 2
+        g = from_edge_list(7, [(6, 0), (0, 2), (2, 3), (1, 4), (4, 5)])
+        closed = closed_neighborhoods(g)
+        assert _branch_step(closed, g.full_mask, 0, 2) is None
+        assert _branch_step(closed, g.full_mask, 0, 3) == (1, 2, 0b1010111)
+
+    def test_no_option_left(self):
+        closed = closed_neighborhoods(path(3))
+        # vertex 0 is dominated only by 0 and 1, and both are banned
+        assert _branch_step(closed, 0b001, 0b011, 2) is None
+        assert _branch_step(closed, 0b001, 0b010, 2) == (0, 1, 0b001)
+
+    def test_banned_options_leave_the_packing(self):
+        # P4: the options of 0 and 2 meet in 1; banning 1 separates them
+        closed = closed_neighborhoods(path(4))
+        assert _branch_step(closed, 0b0101, 0, 2) == (0, 1, 0b0011)
+        assert _branch_step(closed, 0b0101, 0b0010, 2) == (0, 2, 0b1101)
+
+    def test_last_picks_within_allowed(self):
+        closed = closed_neighborhoods(path(3))
+        assert _last_picks(closed, 0b101, 0b111) == 0b010
+        assert _last_picks(closed, 0b101, 0b101) == 0
+        assert _last_picks(closed, 0b010, 0b101) == 0b101
+        assert _last_picks(closed, 0, 0b110) == 0b110
 
 
 def disjoint_pieces(rng, n, bridges=False):

@@ -375,6 +375,19 @@ class TestParserProperties:
         with pytest.raises(ValueError, match="outside"):
             parse_edge_list(_with_header(g, [line], 1))
 
+    @pytest.mark.parametrize("text", [
+        "1_0 0\n",            # int() reads 10
+        "\u0663 0\n",         # ARABIC-INDIC DIGIT THREE
+        "+3 0\n",
+        "3 1\n0 \u0661\n",    # ARABIC-INDIC DIGIT ONE in an edge line
+        "3 1\n0 +1\n",
+        "3 1_0\n",
+        "3 \uff10\n",          # FULLWIDTH DIGIT ZERO
+    ])
+    def test_edge_list_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="ASCII digits only"):
+            parse_edge_list(text)
+
     @given(any_order_graphs(), st.sampled_from(["x", "3.0", "1e3", "0x10", "n"]),
            st.booleans())
     @settings(max_examples=40, deadline=None)
