@@ -309,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count witnesses of this exact size instead of maximizing")
     p.add_argument("--budget", type=float, default=None, help="seconds of wall clock")
     p.add_argument("--witnesses", default=None,
-                   help="write witness graph6 lines to this file")
+                   help="list every witness class and write their graph6 lines "
+                        "to this file (without it, a maximum search stops at "
+                        "its first witness and lists that one)")
     p.add_argument("--progress", action="store_true",
                    help="log 'scanned=N best=S' lines to stderr")
     p.add_argument("--json", action="store_true")

@@ -20,7 +20,15 @@ from .domination import (
     is_dominating,
     is_umd,
 )
-from .graph import Bipartition, Graph, bit_list, check_bipartition, from_edge_list, mask_of
+from .graph import (
+    Bipartition,
+    Graph,
+    _check_vertex_count,
+    bit_list,
+    check_bipartition,
+    from_edge_list,
+    mask_of,
+)
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,7 @@ def _bipartite_edge_groups(n: int, gamma: int) -> dict[str, list[tuple[int, int]
 def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
     """Extremal bipartite graph with unique minimum dominating set of size
     ``gamma`` on ``n`` vertices, together with its role layout."""
+    _check_vertex_count(n)
     if gamma < 2:
         raise ValueError("family requires gamma >= 2 (see construct_star)")
     if n < 3 * gamma:
@@ -148,6 +157,7 @@ def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
 def construct_fischermann(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
     """Perfectly dominated graph meeting Fischermann's bound, generally not
     bipartite (one block is a clique)."""
+    _check_vertex_count(n)
     if gamma < 2:
         raise ValueError("family requires gamma >= 2")
     if n < 3 * gamma:
@@ -193,6 +203,7 @@ def construct_fischermann(n: int, gamma: int) -> tuple[Graph, ConstructionLayout
 
 def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
     """K_{1,n-1}: the unique-dominator graph for gamma = 1, needs n >= 3."""
+    _check_vertex_count(n)
     if n < 3:
         raise ValueError("a two-vertex star has two minimum dominating sets")
     g = from_edge_list(n, [(0, v) for v in range(1, n)])

@@ -154,8 +154,11 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
     qualifying set is produced by exactly one branch.  Results come back
     sorted by bitmask; with ``cap`` the search stops after that many hits.
 
-    Three shortcuts leave the branch order, and so the sets found and the
-    order they are found in, unchanged:
+    Three shortcuts leave the uncapped list, and so the uniqueness decision,
+    unchanged.  They do not keep the branch order: the tight-packing cut
+    never tries a candidate outside ``used``, so it never bans one, and a
+    later branch can fix a different vertex.  The sets a capped run reports
+    may therefore differ from those of the plain branching.
 
     * Tight packing.  When the packing of the residue owes exactly the
       ``remaining`` picks, each pick must fall in a different packed option

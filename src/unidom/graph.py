@@ -48,8 +48,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -95,11 +94,16 @@ class Graph:
         return m
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list; duplicate edges collapse."""
-    # checked before the rows are allocated, so a huge order fails at once
+def _check_vertex_count(n: int) -> None:
+    # callers check before they allocate anything of size n, so a huge order
+    # fails at once
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from an edge list; duplicate edges collapse."""
+    _check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -23,11 +23,13 @@ weight still needed instead of recursing once more, and ``closed`` is
 filled in one pass over the set bits of each row.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
-serves both searches: the maximum search lists every block from dense to
-sparse so the best size found so far prunes whole blocks, and the witness
-count lists the blocks of one edge count.  ``graphs_scanned`` reports the
-labeled masks of the side-fixed space that a run accounts for, and
-``masks_visited`` the double-lex matrices it actually visited.
+serves both searches: it takes edge-count levels in nonincreasing order and
+scans each over every side split.  The maximum search passes every edge
+count, densest first, so the first level with a witness is the maximum and
+every sparser block is skipped; the witness count passes its one edge
+count.  ``graphs_scanned`` reports the labeled masks of the side-fixed
+space that a run accounts for, and ``masks_visited`` the double-lex
+matrices it actually visited.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .domination import _enumerate_covers, _exists_cover, exterior_private_neighbors
 from .graph import Graph, _match, _refine, emit_graph6, iter_bits
@@ -50,7 +52,9 @@ class SearchResult:
     """Outcome of a maximum search, or of a witness count when ``size`` is set.
 
     ``max_size`` is the largest size with a witness (None when there is
-    none); ``witnesses`` holds one graph6 line per isomorphism class at it.
+    none).  ``witnesses`` holds one graph6 line per isomorphism class at
+    it, except in a maximum search without ``collect_witnesses``, which stops
+    at its first witness and lists that one graph.
     ``graphs_scanned`` counts the labeled masks of the side-fixed space the
     run accounts for, and ``masks_visited`` the double-lex matrices visited
     to account for them; a block cut short by the budget adds to neither.
@@ -225,13 +229,17 @@ def _merge_classes(classes: list[tuple[str, Graph]],
             classes.append((g6, g))
 
 
-def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
+def _search(n: int, gamma: int, sizes: Iterable[int],
             budget: Optional[float], *, stop_on_first: bool,
             progress: Optional[Callable[[int, int], None]],
             size: Optional[int] = None) -> SearchResult:
-    """Scan ``blocks`` in order, keeping the witness classes of the largest
-    size seen.  Blocks below that size are skipped, and with
-    ``stop_on_first`` so are blocks at it."""
+    """Scan the edge counts in ``sizes``, which must not increase, each over
+    every side split k <= n/2 that can hold it, k ascending.
+
+    The first size with a witness is the largest one, since every denser
+    level has finished without one, so ``best`` is set once and the classes
+    found at it are final.  Blocks below ``best`` are skipped, and with
+    ``stop_on_first`` so are the rest of its level."""
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     start = time.monotonic()
@@ -242,6 +250,7 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
     classes: list[tuple[str, Graph]] = []
     index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
     complete = True
+    blocks = ((k, s) for s in sizes for k in range(n // 2 + 1) if s <= k * (n - k))
     for k, s in blocks:
         block_size = comb(k * (n - k), s)
         if s < best or (stop_on_first and s == best):
@@ -259,10 +268,7 @@ def _search(n: int, gamma: int, blocks: list[tuple[int, int]],
                 scanned += block_size
                 masks_visited += visited
             if found:
-                if s > best:
-                    best = s
-                    classes = []
-                    index = {}
+                best = s
                 _merge_classes(classes, found, index)
         if progress:
             progress(scanned, best)
@@ -298,13 +304,15 @@ def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *
     minimum dominating set.
 
     ``budget`` is a wall-clock limit in seconds; when it runs out the result
-    comes back with ``complete=False`` and the best value seen so far.
-    ``progress`` is called after every block with the masks scanned so far
-    and the best size (-1 while no witness is known).
+    comes back with ``complete=False``.  The levels run densest first, so a
+    size is reported only once every denser level has finished: any size a
+    cut-short run reports is the maximum, though its witness list may be
+    partial.  ``progress`` is called after every block with the masks
+    scanned so far and the best size, which is -1 until the first witness
+    and the maximum from then on.
     """
     _check_order(n, gamma)
-    blocks = [(k, s) for k in range(n // 2 + 1) for s in range(k * (n - k), -1, -1)]
-    return _search(n, gamma, blocks, budget,
+    return _search(n, gamma, range((n // 2) * (n - n // 2), -1, -1), budget,
                    stop_on_first=not collect_witnesses, progress=progress)
 
 
@@ -317,6 +325,5 @@ def count_extremal_witnesses(n: int, gamma: int, size: int,
     _check_order(n, gamma)
     if size < 0:
         raise ValueError("size must be nonnegative")
-    blocks = [(k, size) for k in range(n // 2 + 1) if size <= k * (n - k)]
-    return _search(n, gamma, blocks, budget,
+    return _search(n, gamma, (size,), budget,
                    stop_on_first=False, progress=progress, size=size)

@@ -139,6 +139,16 @@ class TestConstructCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["bipartite", "fischermann", "star"])
+    def test_huge_order_is_usage_error(self, capsys, family):
+        gamma = [] if family == "star" else ["--gamma", "2"]
+        code, out, err = run(
+            capsys, ["construct", "--family", family, "--n", str(10**12), *gamma]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: vertex count 1000000000000 outside 0..64"]
+
     def test_verify_out_file_keeps_format(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(
@@ -307,16 +317,27 @@ class TestSearchCommand:
         assert "max_size\t6" in out
 
     def test_witness_file(self, capsys, tmp_path):
+        # with --witnesses the search lists every class, and the file holds
+        # the document's list
         target = tmp_path / "w.g6"
-        code, _, _ = run(
+        code, out, _ = run(
             capsys,
-            ["search", "--n", "6", "--gamma", "2", "--witnesses", str(target)],
+            ["search", "--n", "8", "--gamma", "2", "--json", "--witnesses", str(target)],
         )
         assert code == 0
-        lines = target.read_text().strip().splitlines()
-        assert lines
+        doc = json.loads(out)
+        assert len(doc["witnesses"]) == 3
+        lines = target.read_text().splitlines()
+        assert lines == doc["witnesses"]
         for line in lines:
-            assert parse_graph6(line).size() == 6
+            assert parse_graph6(line).size() == 12
+
+    def test_one_witness_without_the_flag(self, capsys):
+        # a maximum search stops at its first witness unless asked for classes
+        code, out, _ = run(capsys, ["search", "--n", "8", "--gamma", "2", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["max_size"], doc["witnesses"]) == (12, ["G@rfF?"])
 
 
 @pytest.mark.parametrize("argv", [

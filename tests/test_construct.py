@@ -165,6 +165,17 @@ class TestStar:
             construct_star(2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: construct_bipartite(n, 2),
+    lambda n: construct_fischermann(n, 2),
+    construct_star,
+], ids=["bipartite", "fischermann", "star"])
+def test_huge_order_fails_before_building(build):
+    # the vertex cap is checked before any edge list is built
+    with pytest.raises(ValueError, match=r"^vertex count 1000000000000 outside 0\.\.64$"):
+        build(10**12)
+
+
 class TestVerifyConstruction:
     def test_bipartite_all_pass(self):
         g, layout = construct_bipartite(6, 2)

@@ -22,6 +22,7 @@ from unidom import (
 )
 from unidom.domination import _enumerate_covers, _exists_cover
 from unidom.graph import _match, _refine, from_edge_list
+from unidom import search
 from unidom.search import _double_lex_matrices, _merge_classes
 
 try:
@@ -509,6 +510,39 @@ class TestSearchInternals:
         max_umd_bipartite_size(6, 2, progress=lambda scanned, best: calls.append((scanned, best)))
         assert calls
         assert calls[-1][0] == _reduced_space_size(6)
+
+
+class TestLevelOrder:
+    """The maximum search scans edge-count levels densest first, so the
+    first level with a witness is the maximum."""
+
+    @pytest.mark.parametrize("n,gamma,size", [(6, 2, 6), (8, 2, 12), (9, 3, 10)])
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_progress_best_is_unknown_then_maximum(self, n, gamma, size, collect):
+        bests = []
+        max_umd_bipartite_size(n, gamma, collect_witnesses=collect,
+                               progress=lambda scanned, best: bests.append(best))
+        assert [b for i, b in enumerate(bests) if i == 0 or b != bests[i - 1]] == [-1, size]
+
+    @pytest.mark.parametrize("n,gamma", [(8, 2), (9, 3)])
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_only_final_size_is_merged(self, monkeypatch, n, gamma, collect):
+        merged = []
+
+        def recording(classes, found, index):
+            merged.extend(g.size() for _, g in found)
+            _merge_classes(classes, found, index)
+
+        monkeypatch.setattr(search, "_merge_classes", recording)
+        result = max_umd_bipartite_size(n, gamma, collect_witnesses=collect)
+        assert merged and set(merged) == {result.max_size}
+        if not collect:
+            assert merged == [result.max_size]
+
+    @pytest.mark.parametrize("collect, visited", [(False, 1508), (True, 1861)])
+    def test_9_3_masks_visited(self, collect, visited):
+        result = max_umd_bipartite_size(9, 3, collect_witnesses=collect)
+        assert (result.max_size, result.masks_visited) == (10, visited)
 
 
 # Sorted witness lists as recorded with the earlier pairwise merge (every
