@@ -1,43 +1,31 @@
 """Exact domination analysis on bitmask graphs.
 
-The solver settles the domination number by iterative deepening over the
-target size with branch-and-bound pruning, then certifies uniqueness by
-enumerating minimum dominating sets with a small cap (two suffice to decide).
-Private-neighborhood and perfect-domination predicates round out the module.
+One branch-and-bound recursion, ``_exists_cover``, collects the covers of at
+most ``k`` picks until a cap is reached: existence is that collection with a
+cap of one, and ``_enumerate_covers`` runs it with the caller's cap.  One
+iterative deepening, ``_minimum_covers``, runs the enumeration at ``k``,
+``k + 1``, ... from the larger of ``ceil(n / (Delta + 1))`` and a greedy
+2-packing, and stops at the first ``k`` that finds a set, so one solve
+settles gamma and the capped list of minimum sets (a cap of two decides
+uniqueness).  On both extremal constructions the start already equals gamma.
 
-Both recursions, the existence test ``_exists_cover`` and the enumeration
-``_enumerate_covers``, take one node step.  With one pick left,
-``_last_picks`` intersects the undominated vertices' closed neighborhoods:
-the candidates in it finish the cover.  Otherwise ``_branch_step`` applies
-two lower bounds and picks the vertex to branch on, the undominated one with
-the fewest options.  The coverage bound: ``u`` undominated vertices need at
-least ``u / c`` more dominators when no vertex covers more than ``c`` of
-them.  The maximum ``c`` is taken over every vertex, banned ones included,
-which can only loosen the bound.  The 2-packing bound: undominated vertices
-whose remaining dominator options are pairwise disjoint each need a
-dominator of their own, so a greedy packing of them counts dominators still
-owed.  Both bounds are only ever below the true cost, so no dominating set
-is lost.
-
-The iterative deepening starts at the larger of ``ceil(n / (Delta + 1))``
-and the packing at the root (taken over every vertex, fewest options first)
-and counts up until a cover exists; no greedy upper bound is computed.  For
-both extremal constructions the start already equals gamma.
-
-The uniqueness enumeration adds three exact shortcuts (detailed on
-``_enumerate_covers``).  When the residue's packing owes exactly the picks
-left, every pick lies in the union of the packed option sets, so only those
-candidates are branched on.  A failure memo records, below the root and with
-more than two picks left, each residual hitting-set problem
-``(remaining, {options of each undominated vertex})`` whose subtree found no
-set, and prunes it when it recurs.  On the Fischermann family the cap-2
-proof took 1.5 * 2^gamma nodes and now takes 6 * gamma - 3.  The last pick
-is emitted straight from ``_last_picks``, in bit order.
+Every node takes one step.  With one pick left, ``_last_picks`` gives the
+candidates that finish the cover.  Otherwise ``_branch_step`` applies two
+lower bounds and branches on the undominated vertex with the fewest options.
+The coverage bound: ``u`` undominated vertices need at least ``u / c`` more
+dominators when no vertex (banned ones included) covers more than ``c`` of
+them.  The 2-packing bound: undominated vertices whose remaining options are
+pairwise disjoint each need a dominator of their own.  Neither exceeds the
+true cost, so no dominating set is lost.  Banning, a tight-packing cut and a
+failure memo (see ``_exists_cover``) cut the cap-2 proof on the Fischermann
+family from 1.5 * 2^gamma nodes to 6 * gamma - 3.  Private-neighborhood and
+perfect-domination predicates round out the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .graph import Graph, bit_list, iter_bits
 
@@ -124,105 +112,105 @@ def _branch_step(closed: list[int], undom: int, banned: int,
     return branch_v, packed, used
 
 
-def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0) -> bool:
-    """Does some set of at most ``k`` vertices dominate the rest?"""
-    if dominated == full:
-        return True
-    if k == 0:
-        return False
-    undom = full & ~dominated
-    if k == 1:
-        return _last_picks(closed, undom, full) != 0
-    step = _branch_step(closed, undom, 0, k)
-    if step is None:
-        return False
-    m = closed[step[0]]
-    while m:
-        low = m & -m
-        m ^= low
-        if _exists_cover(closed, full, k - 1, dominated | closed[low.bit_length() - 1]):
-            return True
-    return False
+@dataclass(slots=True)
+class _Covers:
+    """One cover search's cap, root pick count, covers found and failure memo."""
+
+    cap: float
+    root: int
+    found: list[int] = field(default_factory=list)
+    failed: set[tuple[int, frozenset[int]]] = field(default_factory=set)
 
 
-def _enumerate_covers(closed: list[int], full: int, size: int,
-                      cap: int | None = None) -> list[int]:
-    """All dominating sets of exactly ``size`` vertices, each found once.
+def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
+                  banned: int = 0, chosen: int = 0, covers: _Covers | None = None) -> bool:
+    """Does some set of at most ``k`` vertices dominate the rest?
+
+    The one cover recursion: it adds to ``covers.found`` each cover that
+    extends ``chosen`` by at most ``k`` picks outside ``banned``, and returns
+    True once the cap is reached (a cap of one without ``covers``).
 
     Branching fixes the lowest-numbered candidate that dominates the chosen
     undominated vertex and bans the alternatives already tried, so every
-    qualifying set is produced by exactly one branch.  Results come back
-    sorted by bitmask; with ``cap`` the search stops after that many hits.
+    cover is found once.  Two exact shortcuts keep the uncapped collection
+    but not the branch order: the tight-packing cut never tries, and so
+    never bans, a candidate outside ``used``, so a capped run may collect
+    other sets than the plain branching.
 
-    Three shortcuts leave the uncapped list, and so the uniqueness decision,
-    unchanged.  They do not keep the branch order: the tight-packing cut
-    never tries a candidate outside ``used``, so it never bans one, and a
-    later branch can fix a different vertex.  The sets a capped run reports
-    may therefore differ from those of the plain branching.
-
-    * Tight packing.  When the packing of the residue owes exactly the
-      ``remaining`` picks, each pick must fall in a different packed option
-      set, so only candidates inside their union ``used`` are tried.  The
-      children recompute their own packing; the cut is not inherited.
+    * Tight packing.  When the packing of the residue owes exactly the ``k``
+      picks left, each pick must fall in a different packed option set, so
+      only candidates inside their union ``used`` are tried.  The children
+      recompute their own packing; the cut is not inherited.
     * Failure memo.  Below the root, a state is the residual hitting-set
-      problem ``(remaining, {closed[v] & allowed : v undominated})``, with
+      problem ``(k, {closed[v] & allowed : v undominated})``, with
       ``allowed`` the unbanned candidates (cut to ``used`` when the packing
       is tight).  Whether it has a solution depends on that key alone, so a
       key whose subtree found no set is recorded and pruned when it recurs.
       The root never recurs, and a state with at most two picks left costs
       no more to solve again than to key, so neither is recorded.
-    * Last pick.  With one pick left, the candidates that dominate every
-      undominated vertex are the intersection of their closed
-      neighborhoods; they are emitted in bit order.
     """
-    found: list[int] = []
-    failed: set[tuple[int, frozenset[int]]] = set()
-
-    def rec(chosen: int, dominated: int, banned: int, remaining: int) -> bool:
-        if dominated == full:
-            assert remaining == 0, "size exceeds the domination number"
-            found.append(chosen)
-            return cap is not None and len(found) >= cap
-        if remaining == 0:
-            return False
-        undom = full & ~dominated
-        if remaining == 1:
-            last = _last_picks(closed, undom, full & ~banned)
-            while last:
-                low = last & -last
-                found.append(chosen | low)
-                if cap is not None and len(found) >= cap:
-                    return True
-                last ^= low
-            return False
-        step = _branch_step(closed, undom, banned, remaining)
-        if step is None:
-            return False
-        branch_v, packed, used = step
-        allowed = full & ~banned
-        if packed == remaining:
-            allowed &= used
-        key = None
-        if 2 < remaining < size:
-            key = (remaining, frozenset(closed[v] & allowed for v in iter_bits(undom)))
-            if key in failed:
-                return False
-        hits = len(found)
-        local_ban = banned
-        m = closed[branch_v] & allowed
-        while m:
-            low = m & -m
-            m ^= low
-            if rec(chosen | low, dominated | closed[low.bit_length() - 1], local_ban,
-                   remaining - 1):
+    if covers is None:
+        covers = _Covers(1, k)
+    found = covers.found
+    if dominated == full:
+        found.append(chosen)
+        return len(found) >= covers.cap
+    undom = full & ~dominated
+    if k == 1:
+        last = _last_picks(closed, undom, full & ~banned)
+        while last:
+            low = last & -last
+            found.append(chosen | low)
+            if len(found) >= covers.cap:
                 return True
-            local_ban |= low
-        if key is not None and len(found) == hits:
-            failed.add(key)
+            last ^= low
         return False
+    step = _branch_step(closed, undom, banned, k)
+    if step is None:
+        return False
+    branch_v, packed, used = step
+    allowed = full & ~banned
+    if packed == k:
+        allowed &= used
+    key = None
+    if 2 < k < covers.root:
+        key = (k, frozenset(closed[v] & allowed for v in iter_bits(undom)))
+        if key in covers.failed:
+            return False
+    hits = len(found)
+    m = closed[branch_v] & allowed
+    while m:
+        low = m & -m
+        m ^= low
+        if _exists_cover(closed, full, k - 1, dominated | closed[low.bit_length() - 1],
+                         banned, chosen | low, covers):
+            return True
+        banned |= low
+    if key is not None and len(found) == hits:
+        covers.failed.add(key)
+    return False
 
-    rec(0, 0, 0, size)
-    return sorted(found)
+
+def _enumerate_covers(closed: list[int], full: int, size: int,
+                      cap: int | None = None) -> list[int]:
+    """All dominating sets of exactly ``size`` vertices, each found once,
+    sorted by bitmask; with ``cap`` the search stops after that many.  A
+    cover smaller than ``size``, which the recursion also collects, fails."""
+    covers = _Covers(inf if cap is None else cap, size)
+    _exists_cover(closed, full, size, 0, 0, 0, covers)
+    assert all(s.bit_count() == size for s in covers.found), \
+        "size exceeds the domination number"
+    return sorted(covers.found)
+
+
+def _minimum_covers(closed: list[int], full: int, cap: int | None) -> list[int]:
+    """The minimum dominating sets, sorted and capped: the enumeration run at
+    k, k + 1, ... from the lower bound, up to the first k that finds any."""
+    biggest = max((c.bit_count() for c in closed), default=1)
+    k = max(-(-len(closed) // biggest), _packing_size(closed))
+    while not (sets := _enumerate_covers(closed, full, k, cap)):
+        k += 1
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +219,14 @@ def _enumerate_covers(closed: list[int], full: int, size: int,
 
 def domination_number(g: Graph) -> int:
     """Exact minimum size of a dominating set (isolated vertices count)."""
-    if g.n == 0:
-        return 0
-    closed = closed_neighborhoods(g)
-    biggest = max(c.bit_count() for c in closed)
-    k = max(-(-g.n // biggest), _packing_size(closed))
-    while not _exists_cover(closed, g.full_mask, k):
-        k += 1
-    return k
+    return _minimum_covers(closed_neighborhoods(g), g.full_mask, 1)[0].bit_count()
 
 
 def enumerate_minimum_dominating_sets(g: Graph, cap: int | None = None) -> list[int]:
     """Every minimum dominating set as a bitmask, sorted, optionally capped."""
     if cap is not None and cap < 2:
         raise ValueError("cap must be at least 2")
-    if g.n == 0:
-        return [0]
-    gamma = domination_number(g)
-    return _enumerate_covers(closed_neighborhoods(g), g.full_mask, gamma, cap)
+    return _minimum_covers(closed_neighborhoods(g), g.full_mask, cap)
 
 
 def exterior_private_neighbors(g: Graph, v: int, s: int) -> int:
@@ -348,7 +326,7 @@ def is_umd(g: Graph) -> DominationReport:
     minimum set exists or the first one is provably alone.
     """
     sets = enumerate_minimum_dominating_sets(g, cap=2)
-    gamma = sets[0].bit_count() if sets else 0
+    gamma = sets[0].bit_count()
     report = DominationReport(gamma=gamma, min_sets=sets, unique=len(sets) == 1)
     if report.unique:
         d = sets[0]

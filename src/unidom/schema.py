@@ -8,6 +8,7 @@ can vendor this file alone.
 
 from __future__ import annotations
 
+import math
 import re
 
 SCHEMA_ID = "unidom/1"
@@ -36,6 +37,15 @@ def _is_exact_number(x) -> bool:
     return _is_int(x)
 
 
+def _conjunction(parts, name: str, key: str, problems: list[str]) -> bool | None:
+    """The AND of ``key`` over the dict ``parts``, or None when malformed."""
+    if _err(problems, isinstance(parts, dict) and all(
+            isinstance(p, dict) and isinstance(p.get(key), bool) for p in parts.values()),
+            f"{name} must map names to objects with a bool {key!r}"):
+        return all(p[key] for p in parts.values())
+    return None
+
+
 def validate_report(doc) -> list[str]:
     """Check a domination report object (the nested per-graph result)."""
     problems: list[str] = []
@@ -45,8 +55,12 @@ def validate_report(doc) -> list[str]:
          "gamma must be a nonnegative int")
     _err(problems, isinstance(doc.get("unique"), bool), "unique must be a bool")
     sets = doc.get("min_sets")
-    _err(problems, isinstance(sets, list) and all(_is_vertex_list(s) for s in sets),
-         "min_sets must be a list of vertex lists")
+    if _err(problems, isinstance(sets, list) and all(_is_vertex_list(s) for s in sets),
+            "min_sets must be a list of vertex lists"):
+        _err(problems, doc.get("unique") == (len(sets) == 1),
+             "unique must hold exactly when min_sets has one set")
+        _err(problems, all(len(s) == doc.get("gamma") for s in sets),
+             "every min_sets entry must have gamma vertices")
     epn = doc.get("epn")
     _err(problems, isinstance(epn, dict) and all(
         isinstance(k, str) and k.isdigit() and _is_vertex_list(v)
@@ -72,13 +86,18 @@ def _validate_bound_row(row, problems: list[str]) -> None:
          "vizing must be an int or 'p/q' string")
 
 
-def _validate_scan_counts(doc, problems: list[str]) -> None:
+def _validate_scan(doc, problems: list[str]) -> None:
+    """The fields a search and a witness count share."""
     scanned, visited = doc.get("graphs_scanned"), doc.get("masks_visited")
     ok = _err(problems, _is_int(scanned), "graphs_scanned must be an int")
     ok = _err(problems, _is_int(visited), "masks_visited must be an int") and ok
     if ok:
         _err(problems, 0 <= visited <= scanned,
              "masks_visited must lie between 0 and graphs_scanned")
+    elapsed = doc.get("elapsed")
+    _err(problems, isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool)
+         and 0 <= elapsed < math.inf, "elapsed must be a nonnegative number")
+    _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
 
 
 def _validate_witnesses(doc, problems: list[str]) -> bool:
@@ -104,17 +123,18 @@ def validate_document(doc) -> list[str]:
                 _validate_bound_row(row, problems)
     elif kind == "certificate":
         _err(problems, isinstance(doc.get("passed"), bool), "passed must be a bool")
-        checks = doc.get("checks")
-        if _err(problems, isinstance(checks, dict), "checks must be an object"):
-            for name, c in checks.items():
-                _err(problems, isinstance(c, dict) and isinstance(c.get("passed"), bool),
-                     f"check {name} must carry a bool 'passed'")
+        every = _conjunction(doc.get("checks"), "checks", "passed", problems)
+        if every is not None:
+            _err(problems, doc.get("passed") == every, "passed must be the AND of the checks")
     elif kind == "verify":
-        problems += validate_report(doc.get("report"))
+        report_problems = validate_report(doc.get("report"))
+        problems += report_problems
         _err(problems, isinstance(doc.get("ok"), bool), "ok must be a bool")
         _err(problems, isinstance(doc.get("warnings"), list), "warnings must be a list")
-        _err(problems, isinstance(doc.get("expectations"), dict),
-             "expectations must be an object")
+        met = _conjunction(doc.get("expectations"), "expectations", "ok", problems)
+        if met is not None and not report_problems:
+            _err(problems, doc.get("ok") == (doc["report"]["unique"] and met),
+                 "ok must hold exactly when unique and every expectation is met")
     elif kind == "search":
         _err(problems, _is_int(doc.get("n")), "n must be an int")
         _err(problems, _is_int(doc.get("gamma")), "gamma must be an int")
@@ -123,16 +143,14 @@ def validate_document(doc) -> list[str]:
         if _validate_witnesses(doc, problems):
             _err(problems, (ms is None) == (not doc["witnesses"]),
                  "max_size must be null exactly when there are no witnesses")
-        _validate_scan_counts(doc, problems)
-        _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
+        _validate_scan(doc, problems)
     elif kind == "witness_count":
         for key in ("n", "gamma", "size", "count"):
             _err(problems, _is_int(doc.get(key)), f"{key} must be an int")
         if _validate_witnesses(doc, problems):
             _err(problems, doc.get("count") == len(doc["witnesses"]),
                  "count must equal the number of witnesses")
-        _validate_scan_counts(doc, problems)
-        _err(problems, isinstance(doc.get("complete"), bool), "complete must be a bool")
+        _validate_scan(doc, problems)
     elif kind == "iso":
         _err(problems, isinstance(doc.get("isomorphic"), bool),
              "isomorphic must be a bool")

@@ -487,10 +487,14 @@ _VALID = {
                "warnings": [], "expectations": {}},
     "search": {"schema": "unidom/1", "kind": "search", "n": 6, "gamma": 2,
                "max_size": 6, "witnesses": ["ECr_"], "graphs_scanned": 5,
-               "masks_visited": 3, "complete": True},
+               "masks_visited": 3, "elapsed": 0.01, "complete": True},
     "witness_count": {"schema": "unidom/1", "kind": "witness_count", "n": 6,
                       "gamma": 2, "size": 6, "count": 2, "witnesses": ["ECr_", "EDr?"],
-                      "graphs_scanned": 5, "masks_visited": 3, "complete": True},
+                      "graphs_scanned": 5, "masks_visited": 3, "elapsed": 0.01,
+                      "complete": True},
+    "certificate": {"schema": "unidom/1", "kind": "certificate", "passed": True,
+                    "checks": {"size": {"passed": True, "expected": 6, "actual": 6},
+                               "gamma": {"passed": True, "expected": 2, "actual": 2}}},
 }
 
 
@@ -530,6 +534,58 @@ def test_schema_checks_witness_consistency(kind, fields, message):
         assert problems == []
     else:
         assert any(message in p for p in problems), problems
+
+
+_FAILED_SIZE = {"size": {"passed": False, "expected": 6, "actual": 5},
+                "gamma": {"passed": True, "expected": 2, "actual": 2}}
+_GAMMA_MET = {"gamma": {"expected": 2, "actual": 2, "ok": True}}
+_GAMMA_MISSED = {"gamma": {"expected": 3, "actual": 2, "ok": False}}
+_TWO_SETS = {"unique": False, "min_sets": [[0, 1], [0, 2]], "epn": {},
+             "perfect": False, "epn_condition": False}
+
+
+@pytest.mark.parametrize("kind, fields, report, message", [
+    # a verdict must agree with the parts it is made of
+    ("certificate", {"checks": _FAILED_SIZE}, {}, "AND of the checks"),
+    ("certificate", {"passed": False}, {}, "AND of the checks"),
+    ("certificate", {"passed": False, "checks": _FAILED_SIZE}, {}, None),
+    ("certificate", {"checks": {"size": {"expected": 6}}}, {}, "bool 'passed'"),
+    ("verify", {}, {"unique": False}, "exactly when min_sets has one set"),
+    ("verify", {}, {"min_sets": [[0, 1], [0, 2]]}, "exactly when min_sets has one set"),
+    ("verify", {}, {"min_sets": [[0, 1, 2]]}, "gamma vertices"),
+    ("verify", {"ok": False}, _TWO_SETS, None),
+    ("verify", {}, _TWO_SETS, "ok must hold exactly"),
+    ("verify", {"expectations": _GAMMA_MISSED}, {}, "ok must hold exactly"),
+    ("verify", {"ok": False, "expectations": _GAMMA_MISSED}, {}, None),
+    ("verify", {"ok": False, "expectations": _GAMMA_MET}, {}, "ok must hold exactly"),
+    ("verify", {"expectations": _GAMMA_MET}, {}, None),
+    ("verify", {"expectations": {"gamma": {"ok": "yes"}}}, {}, "bool 'ok'"),
+    ("verify", {"expectations": []}, {}, "bool 'ok'"),
+    # both search kinds carry a nonnegative elapsed time
+    ("search", {"elapsed": "0.01"}, {}, "elapsed"),
+    ("search", {"elapsed": -0.5}, {}, "elapsed"),
+    ("search", {"elapsed": float("nan")}, {}, "elapsed"),
+    ("search", {"elapsed": True}, {}, "elapsed"),
+    ("search", {"elapsed": 0}, {}, None),
+    ("witness_count", {"elapsed": None}, {}, "elapsed"),
+    ("witness_count", {"elapsed": float("inf")}, {}, "elapsed"),
+])
+def test_schema_checks_verdict_consistency(kind, fields, report, message):
+    doc = json.loads(json.dumps(_VALID[kind]))
+    doc.update(fields)
+    if report:
+        doc["report"].update(report)
+    problems = validate_document(doc)
+    if message is None:
+        assert problems == []
+    else:
+        assert any(message in p for p in problems), problems
+
+
+def test_schema_requires_elapsed():
+    doc = {**_VALID["search"]}
+    del doc["elapsed"]
+    assert any("elapsed" in p for p in validate_document(doc))
 
 
 class TestComplementCommand:

@@ -210,18 +210,18 @@ class TestVerifyConstruction:
         assert "minimum_set_is_intended" in cert.failures()
 
     def test_one_gamma_solve_per_certificate(self, monkeypatch):
-        import unidom.construct
+        # every gamma solve is one iterative deepening, which settles gamma
+        # and the capped list of minimum sets together
         import unidom.domination
 
-        solve = unidom.domination.domination_number
+        solve = unidom.domination._minimum_covers
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return solve(g)
+        def counted(closed, full, cap):
+            calls.append(len(closed))
+            return solve(closed, full, cap)
 
-        monkeypatch.setattr(unidom.domination, "domination_number", counted)
-        monkeypatch.setattr(unidom.construct, "domination_number", counted, raising=False)
+        monkeypatch.setattr(unidom.domination, "_minimum_covers", counted)
         g, layout = construct_bipartite(12, 3)
         assert verify_construction(g, layout, bipartite_bound(12, 3)).passed
         assert calls == [12]

@@ -23,7 +23,14 @@ from unidom import (
     parse_graph6,
 )
 from unidom.construct import construct_bipartite, construct_fischermann
-from unidom.domination import _branch_step, _last_picks, _packing_size, closed_neighborhoods
+from unidom.domination import (
+    _branch_step,
+    _enumerate_covers,
+    _exists_cover,
+    _last_picks,
+    _packing_size,
+    closed_neighborhoods,
+)
 
 from conftest import (
     assert_unique_domination_theory,
@@ -281,7 +288,7 @@ class TestPackingBound:
 
 
 class TestNodeStep:
-    """The node step both solver recursions share."""
+    """The node step of the cover recursion."""
 
     def test_packing_cut_without_coverage_cut(self):
         # a star on 0..4 and two isolated vertices: the center covers five of
@@ -383,9 +390,14 @@ SHIFTED_PAIRS = [
 ]
 
 
+# graphs on which one residual problem recurs with a different number of
+# picks left
+RECURRING_STATES = ["JgCOO@@C??_", "JgCO?C@?gG?", "KgCOgW??G@?A", "Kl?GG?@?O?_G"]
+
+
 class TestEnumerationShortcuts:
     """The failure memo, the tight-packing cut and the last-pick
-    intersection in ``_enumerate_covers`` must not lose a minimum set.  The
+    intersection in ``_exists_cover`` must not lose a minimum set.  The
     pair a capped run reports is pinned, but it is not the plain branching's
     on every graph."""
 
@@ -405,7 +417,7 @@ class TestEnumerationShortcuts:
             deep += expected[0].bit_count() >= 4
         assert deep > 500
 
-    @pytest.mark.parametrize("g6", ["JgCOO@@C??_", "JgCO?C@?gG?", "KgCOgW??G@?A", "Kl?GG?@?O?_G"])
+    @pytest.mark.parametrize("g6", RECURRING_STATES)
     def test_state_recurring_with_other_picks_left(self, g6):
         # one residual problem is met again with a different number of picks
         # left; a memo key without ``remaining`` loses every minimum set here
@@ -426,3 +438,55 @@ class TestEnumerationShortcuts:
         assert [bit_list(s) for s in naive_minimum_dominating_sets(g)] == full
         assert all(s in full for s in capped)
         assert capped == pair
+
+
+class TestCoverRecursion:
+    """``_exists_cover`` answers "a cover of at most k picks", with the
+    enumeration's banning, tight-packing cut and memo, for every k: the
+    search's ``gamma - 1`` filter relies on the k > gamma side."""
+
+    @staticmethod
+    def assert_exists_matches_naive(g):
+        closed, gamma = closed_neighborhoods(g), naive_domination_number(g)
+        for k in range(g.n + 1):
+            assert _exists_cover(closed, g.full_mask, k) == (gamma <= k), (g.adj, k)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_graph_atlas(self):
+        for h in nx.graph_atlas_g():
+            self.assert_exists_matches_naive(
+                from_edge_list(h.number_of_nodes(), list(h.edges())))
+
+    def test_seeded_sweep(self):
+        # a failing search at k = gamma - 1 >= 4 keys states in its memo
+        rng = random.Random(4096)
+        deep = 0
+        for i in range(300):
+            n = rng.randint(0, 14)
+            if i % 2:
+                g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+            else:
+                g = disjoint_pieces(rng, n, bridges=i % 4 == 1) if n >= 6 else path(n)
+            self.assert_exists_matches_naive(g)
+            deep += naive_domination_number(g) >= 5
+        assert deep > 50
+
+    @pytest.mark.parametrize("g6", RECURRING_STATES)
+    def test_state_recurring_with_other_picks_left(self, g6):
+        # a memo key without the picks left answers False at k = gamma here
+        self.assert_exists_matches_naive(parse_graph6(g6))
+
+    @pytest.mark.parametrize("g, size", [(path(3), 2), (cycle(6), 3), (cycle(6), 5),
+                                         (star(5), 4)])
+    def test_size_above_gamma_raises(self, g, size):
+        with pytest.raises(AssertionError, match="size exceeds the domination number"):
+            _enumerate_covers(closed_neighborhoods(g), g.full_mask, size)
+
+    def test_size_above_gamma_raises_on_sweep(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.5]))
+            size = naive_domination_number(g) + rng.randint(1, 2)
+            if size <= g.n:
+                with pytest.raises(AssertionError, match="size exceeds"):
+                    _enumerate_covers(closed_neighborhoods(g), g.full_mask, size)
