@@ -1,25 +1,23 @@
 """Exact domination analysis on bitmask graphs.
 
 One branch-and-bound recursion, ``_exists_cover``, collects the covers of at
-most ``k`` picks until a cap is reached: existence is that collection with a
-cap of one, and ``_enumerate_covers`` runs it with the caller's cap.  One
-iterative deepening, ``_minimum_covers``, runs the enumeration at ``k``,
-``k + 1``, ... from the larger of ``ceil(n / (Delta + 1))`` and a greedy
-2-packing, and stops at the first ``k`` that finds a set, so one solve
-settles gamma and the capped list of minimum sets (a cap of two decides
-uniqueness).  On both extremal constructions the start already equals gamma.
+most ``k`` picks up to a cap (one for an existence test); ``_enumerate_covers``
+runs it with the caller's cap.  Every dominating set of at most ``k`` vertices
+holds a collected cover, so a cap-2 run at ``k`` finds a single ``k``-vertex set
+exactly when gamma is ``k`` with a unique minimum set: the search's one solve
+per matrix.  One deepening, ``_minimum_covers``, runs it at ``k``, ``k + 1``, ...
+from the larger of ``ceil(n / (Delta + 1))`` and a greedy 2-packing (gamma on
+both extremal constructions) up to the first ``k`` that finds a set: gamma.
 
-Every node takes one step.  With one pick left, ``_last_picks`` gives the
-candidates that finish the cover.  Otherwise ``_branch_step`` applies two
-lower bounds and branches on the undominated vertex with the fewest options.
-The coverage bound: ``u`` undominated vertices need at least ``u / c`` more
-dominators when no vertex (banned ones included) covers more than ``c`` of
-them.  The 2-packing bound: undominated vertices whose remaining options are
-pairwise disjoint each need a dominator of their own.  Neither exceeds the
-true cost, so no dominating set is lost.  Banning, a tight-packing cut and a
-failure memo (see ``_exists_cover``) cut the cap-2 proof on the Fischermann
-family from 1.5 * 2^gamma nodes to 6 * gamma - 3.  Private-neighborhood and
-perfect-domination predicates round out the module.
+Every node takes one step: ``_last_picks`` with one pick left, else
+``_branch_step``.  The coverage bound: ``u`` undominated vertices need at
+least ``u / c`` more dominators when no vertex (banned ones included) covers
+more than ``c`` of them.  The 2-packing bound: undominated vertices whose
+remaining options are pairwise disjoint each need a dominator of their own.
+Neither exceeds the true cost, so no dominating set is lost.  Banning, a
+tight-packing cut and a failure memo (see ``_exists_cover``) cut the cap-2
+proof on the Fischermann family from 1.5 * 2^gamma nodes to 6 * gamma - 3.
+Private-neighborhood and perfect-domination predicates round out the module.
 """
 
 from __future__ import annotations
@@ -35,10 +33,14 @@ def closed_neighborhoods(g: Graph) -> list[int]:
     return [g.adj[v] | (1 << v) for v in range(g.n)]
 
 
-def is_dominating(g: Graph, s: int) -> bool:
-    """True iff the closed neighborhoods of ``s`` cover every vertex."""
+def _check_within(g: Graph, s: int) -> None:
     if s & ~g.full_mask:
         raise ValueError("set contains vertices outside the graph")
+
+
+def is_dominating(g: Graph, s: int) -> bool:
+    """True iff the closed neighborhoods of ``s`` cover every vertex."""
+    _check_within(g, s)
     covered = 0
     for v in iter_bits(s):
         covered |= g.adj[v] | (1 << v)
@@ -114,10 +116,9 @@ def _branch_step(closed: list[int], undom: int, banned: int,
 
 @dataclass(slots=True)
 class _Covers:
-    """One cover search's cap, root pick count, covers found and failure memo."""
+    """One cover search's cap, covers found and failure memo."""
 
     cap: float
-    root: int
     found: list[int] = field(default_factory=list)
     failed: set[tuple[int, frozenset[int]]] = field(default_factory=set)
 
@@ -126,9 +127,8 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
                   banned: int = 0, chosen: int = 0, covers: _Covers | None = None) -> bool:
     """Does some set of at most ``k`` vertices dominate the rest?
 
-    The one cover recursion: it adds to ``covers.found`` each cover that
-    extends ``chosen`` by at most ``k`` picks outside ``banned``, and returns
-    True once the cap is reached (a cap of one without ``covers``).
+    The one cover recursion: it collects covers extending ``chosen`` by at most
+    ``k`` picks outside ``banned``, one inside each, and returns True at the cap.
 
     Branching fixes the lowest-numbered candidate that dominates the chosen
     undominated vertex and bans the alternatives already tried, so every
@@ -141,16 +141,16 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
       picks left, each pick must fall in a different packed option set, so
       only candidates inside their union ``used`` are tried.  The children
       recompute their own packing; the cut is not inherited.
-    * Failure memo.  Below the root, a state is the residual hitting-set
-      problem ``(k, {closed[v] & allowed : v undominated})``, with
-      ``allowed`` the unbanned candidates (cut to ``used`` when the packing
+    * Failure memo.  Below the root (``chosen`` is not empty), a state is the
+      residual hitting-set problem ``(k, {closed[v] & allowed : v undominated})``,
+      with ``allowed`` the unbanned candidates (cut to ``used`` when the packing
       is tight).  Whether it has a solution depends on that key alone, so a
       key whose subtree found no set is recorded and pruned when it recurs.
       The root never recurs, and a state with at most two picks left costs
       no more to solve again than to key, so neither is recorded.
     """
     if covers is None:
-        covers = _Covers(1, k)
+        covers = _Covers(1)
     found = covers.found
     if dominated == full:
         found.append(chosen)
@@ -173,7 +173,7 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
     if packed == k:
         allowed &= used
     key = None
-    if 2 < k < covers.root:
+    if k > 2 and chosen:
         key = (k, frozenset(closed[v] & allowed for v in iter_bits(undom)))
         if key in covers.failed:
             return False
@@ -193,23 +193,21 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
 
 def _enumerate_covers(closed: list[int], full: int, size: int,
                       cap: int | None = None) -> list[int]:
-    """All dominating sets of exactly ``size`` vertices, each found once,
-    sorted by bitmask; with ``cap`` the search stops after that many.  A
-    cover smaller than ``size``, which the recursion also collects, fails."""
-    covers = _Covers(inf if cap is None else cap, size)
+    """Covers of at most ``size`` picks, each found once, sorted, stopping at
+    ``cap``; a shorter result is the uncapped one, whose gamma-vertex sets are minimum."""
+    covers = _Covers(inf if cap is None else cap)
     _exists_cover(closed, full, size, 0, 0, 0, covers)
-    assert all(s.bit_count() == size for s in covers.found), \
-        "size exceeds the domination number"
     return sorted(covers.found)
 
 
 def _minimum_covers(closed: list[int], full: int, cap: int | None) -> list[int]:
     """The minimum dominating sets, sorted and capped: the enumeration run at
-    k, k + 1, ... from the lower bound, up to the first k that finds any."""
+    k, k + 1, ... from the lower bound, up to the first k (gamma) that finds any."""
     biggest = max((c.bit_count() for c in closed), default=1)
     k = max(-(-len(closed) // biggest), _packing_size(closed))
     while not (sets := _enumerate_covers(closed, full, k, cap)):
         k += 1
+    assert all(s.bit_count() == k for s in sets), "a bound or a lower level missed a cover"
     return sets
 
 
@@ -231,7 +229,8 @@ def enumerate_minimum_dominating_sets(g: Graph, cap: int | None = None) -> list[
 
 def exterior_private_neighbors(g: Graph, v: int, s: int) -> int:
     """Vertices outside ``s`` whose only neighbor inside ``s`` is ``v``."""
-    if not (s >> v) & 1:
+    _check_within(g, s)
+    if v < 0 or not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not in the set")
     target = 1 << v
     out = 0
@@ -284,6 +283,7 @@ def is_perfectly_dominated(g: Graph, d: int) -> bool:
 
 def closed_neighborhoods_disjoint(g: Graph, d: int) -> bool:
     """True iff the closed neighborhoods of the vertices in ``d`` are pairwise disjoint."""
+    _check_within(g, d)
     seen = 0
     for v in iter_bits(d):
         nb = g.adj[v] | (1 << v)

@@ -17,10 +17,10 @@ share its key.  The tests check this enumeration against the unreduced scan
 of every labeled mask for all small orders, and against a Burnside count of
 the matrices up to row and column permutations for larger ones.
 
-The per-matrix path is kept lean: the row tables the generator consults
-are built once per column count, the last row is read from the rows of the
-weight still needed instead of recursing once more, and ``closed`` is
-filled in one pass over the set bits of each row.
+The per-matrix path is kept lean: the generator's row tables are built once
+per column count, the last row is read from the rows of the weight still
+needed, ``closed`` is filled in one pass over each row's set bits, and the
+witness test is one solve, the cap-2 cover collection at gamma.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
 serves both searches: it takes edge-count levels in nonincreasing order and
@@ -41,6 +41,7 @@ from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
+# _exists_cover stays bound here because perfbench/spans.py wraps it in this module
 from .domination import _enumerate_covers, _exists_cover, exterior_private_neighbors
 from .graph import Graph, _match, _refine, emit_graph6, iter_bits
 
@@ -197,11 +198,9 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
                 low = r & -r
                 closed[low.bit_length() - 1] |= bit
                 r ^= low
-        # domination number must be exactly gamma, with a unique witness
-        if gamma > 1 and _exists_cover(closed, full, gamma - 1):
-            continue
+        # a smaller domination number or a second minimum set shows a second cover
         sets = _enumerate_covers(closed, full, gamma, cap=2)
-        if len(sets) != 1:
+        if len(sets) != 1 or sets[0].bit_count() != gamma:
             continue
         g = Graph(n, tuple(c ^ (1 << v) for v, c in enumerate(closed)))
         _assert_unique_domination_properties(g, gamma, sets[0])

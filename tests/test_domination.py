@@ -28,6 +28,7 @@ from unidom.domination import (
     _enumerate_covers,
     _exists_cover,
     _last_picks,
+    _minimum_covers,
     _packing_size,
     closed_neighborhoods,
 )
@@ -147,6 +148,15 @@ class TestExteriorPrivateNeighbors:
         with pytest.raises(ValueError):
             exterior_private_neighbors(path(3), 0, mask_of([1]))
 
+    @pytest.mark.parametrize("v, s", [(5, mask_of([1, 5])), (1, mask_of([1, 7]))])
+    def test_set_outside_graph_rejected(self, v, s):
+        with pytest.raises(ValueError, match="set contains vertices outside the graph"):
+            exterior_private_neighbors(path(3), v, s)
+
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex -1 is not in the set"):
+            exterior_private_neighbors(path(3), -1, mask_of([1]))
+
 
 class TestEpnCondition:
     def test_reference_graph(self, reference_10_3):
@@ -192,6 +202,10 @@ class TestClosedNeighborhoodsDisjoint:
 
     def test_c4_antipodal(self):
         assert not closed_neighborhoods_disjoint(cycle(4), mask_of([0, 2]))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="set contains vertices outside the graph"):
+            closed_neighborhoods_disjoint(path(3), 1 << 5)
 
     @given(graphs(max_n=9))
     @settings(max_examples=80)
@@ -442,8 +456,9 @@ class TestEnumerationShortcuts:
 
 class TestCoverRecursion:
     """``_exists_cover`` answers "a cover of at most k picks", with the
-    enumeration's banning, tight-packing cut and memo, for every k: the
-    search's ``gamma - 1`` filter relies on the k > gamma side."""
+    enumeration's banning, tight-packing cut and memo, for every k, and
+    ``_enumerate_covers`` collects the covers of at most ``size`` picks: the
+    search's one cap-2 collection at gamma relies on the size > gamma side."""
 
     @staticmethod
     def assert_exists_matches_naive(g):
@@ -476,11 +491,23 @@ class TestCoverRecursion:
         # a memo key without the picks left answers False at k = gamma here
         self.assert_exists_matches_naive(parse_graph6(g6))
 
+    @staticmethod
+    def assert_covers_of_at_most(g, size):
+        closed = closed_neighborhoods(g)
+        sets = _enumerate_covers(closed, g.full_mask, size)
+        assert len(set(sets)) == len(sets)
+        assert all(is_dominating(g, s) and s.bit_count() <= size for s in sets)
+        gamma = naive_domination_number(g)
+        assert min(s.bit_count() for s in sets) == gamma
+        assert [s for s in sets if s.bit_count() == gamma] == naive_minimum_dominating_sets(g)
+        # a capped run is the uncapped one stopped at the cap
+        capped = _enumerate_covers(closed, g.full_mask, size, cap=2)
+        assert len(capped) == min(2, len(sets)) and set(capped) <= set(sets)
+
     @pytest.mark.parametrize("g, size", [(path(3), 2), (cycle(6), 3), (cycle(6), 5),
                                          (star(5), 4)])
     def test_size_above_gamma_raises(self, g, size):
-        with pytest.raises(AssertionError, match="size exceeds the domination number"):
-            _enumerate_covers(closed_neighborhoods(g), g.full_mask, size)
+        self.assert_covers_of_at_most(g, size)
 
     def test_size_above_gamma_raises_on_sweep(self):
         rng = random.Random(77)
@@ -488,5 +515,52 @@ class TestCoverRecursion:
             g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.5]))
             size = naive_domination_number(g) + rng.randint(1, 2)
             if size <= g.n:
-                with pytest.raises(AssertionError, match="size exceeds"):
-                    _enumerate_covers(closed_neighborhoods(g), g.full_mask, size)
+                self.assert_covers_of_at_most(g, size)
+
+    @staticmethod
+    def assert_witness_test_matches_naive(g):
+        # the search's per-matrix test: one cap-2 collection at each gamma
+        closed = closed_neighborhoods(g)
+        gamma = naive_domination_number(g)
+        unique = len(naive_minimum_dominating_sets(g)) == 1
+        for k in range(2, g.n + 1):
+            sets = _enumerate_covers(closed, g.full_mask, k, cap=2)
+            witness = len(sets) == 1 and sets[0].bit_count() == k
+            assert witness == (gamma == k and unique), (g.adj, k)
+        return unique and gamma >= 2
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_witness_test_on_graph_atlas(self):
+        witnesses = sum(
+            self.assert_witness_test_matches_naive(
+                from_edge_list(h.number_of_nodes(), list(h.edges())))
+            for h in nx.graph_atlas_g())
+        assert witnesses > 50
+
+    def test_witness_test_on_seeded_sweep(self):
+        rng = random.Random(2718)
+        witnesses = 0
+        for i in range(240):
+            n = rng.randint(2, 14)
+            if i % 3 == 0:
+                g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+            elif i % 3 == 1:
+                g = disjoint_pieces(rng, n, bridges=i % 2 == 0)
+            else:
+                # two pendant leaves on each of m vertices make those m the
+                # unique minimum set; random extra edges may break that
+                m = n // 3
+                edges = [(v, m + 2 * v + j) for v in range(m) for j in (0, 1)]
+                edges += [(u, v) for u in range(3 * m) for v in range(u + 1, 3 * m)
+                          if (u, v) not in edges and rng.random() < 0.08]
+                g = from_edge_list(3 * m, edges)
+            witnesses += self.assert_witness_test_matches_naive(g)
+        assert witnesses > 40
+
+    def test_minimum_covers_rejects_a_set_below_its_level(self, monkeypatch):
+        # the deepening starts P4 at k = 2, so a one-vertex cover there means
+        # a wrong bound or a cover a lower level missed
+        monkeypatch.setattr("unidom.domination._enumerate_covers", lambda *args: [0b10])
+        g = path(4)
+        with pytest.raises(AssertionError, match="missed a cover"):
+            _minimum_covers(closed_neighborhoods(g), g.full_mask, None)
