@@ -56,6 +56,13 @@ def _exact_to_json(value):
     return value
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing edge-list ('n m' header) vs graph6."""
     try:
@@ -151,8 +158,8 @@ def cmd_construct(args) -> int:
             expected = bounds.fischermann_bound(args.n, args.gamma)
 
     # render only where the text goes: --out, or stdout when not verifying
-    if args.out:
-        Path(args.out).write_text(_emit_graph(g, args.format, layout))
+    if args.out is not None:
+        _write_text(args.out, _emit_graph(g, args.format, layout))
     elif not args.verify:
         sys.stdout.write(_emit_graph(g, args.format, layout))
     if args.verify:
@@ -234,8 +241,6 @@ def cmd_search(args) -> int:
             args.n, args.gamma, args.size, budget=args.budget, progress=reporter,
         )
     doc = result.to_json()
-    if args.witnesses:
-        Path(args.witnesses).write_text("".join(w + "\n" for w in result.witnesses))
     if args.json:
         print(json.dumps(doc))
     else:
@@ -243,6 +248,9 @@ def cmd_search(args) -> int:
             if key in ("schema", "kind", "witnesses"):
                 continue
             print(f"{key}\t{value}")
+    # after the document, so that a file that cannot be written loses no result
+    if args.witnesses is not None:
+        _write_text(args.witnesses, "".join(w + "\n" for w in result.witnesses))
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 

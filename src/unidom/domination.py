@@ -1,21 +1,20 @@
 """Exact domination analysis on bitmask graphs.
 
 One branch-and-bound recursion, ``_exists_cover``, collects the covers of at
-most ``k`` picks up to a cap (one for an existence test); ``_enumerate_covers``
-runs it with the caller's cap.  Every dominating set of at most ``k`` vertices
-holds a collected cover, so a cap-2 run at ``k`` finds a single ``k``-vertex set
-exactly when gamma is ``k`` with a unique minimum set: the search's one solve
-per matrix.  One deepening, ``_minimum_covers``, runs it at ``k``, ``k + 1``, ...
-from the larger of ``ceil(n / (Delta + 1))`` and a greedy 2-packing (gamma on
-both extremal constructions) up to the first ``k`` that finds a set: gamma.
+most ``k`` picks up to a cap; ``_enumerate_covers``, its one entry, runs it
+with the caller's cap, and a cap of one is an existence test.  Every
+dominating set of at most ``k`` vertices holds a collected cover, so a cap-2
+run at ``k`` finds a single ``k``-vertex set exactly when gamma is ``k`` with
+a unique minimum set: the search's one solve per matrix.  One deepening,
+``_minimum_covers``, runs it at ``k``, ``k + 1``, ... from the larger of
+``ceil(n / (Delta + 1))`` and a greedy 2-packing (gamma on both extremal
+constructions) up to the first ``k`` that finds a set: gamma.
 
 Every node takes one step: ``_last_picks`` with one pick left, else
-``_branch_step``.  The coverage bound: ``u`` undominated vertices need at
-least ``u / c`` more dominators when no vertex (banned ones included) covers
-more than ``c`` of them.  The 2-packing bound: undominated vertices whose
-remaining options are pairwise disjoint each need a dominator of their own.
-Neither exceeds the true cost, so no dominating set is lost.  Banning, a
-tight-packing cut and a failure memo (see ``_exists_cover``) cut the cap-2
+``_branch_step``, whose one lower bound is a 2-packing: undominated vertices
+whose remaining options are pairwise disjoint each need a dominator of their
+own.  It never exceeds the true cost, so no dominating set is lost.  Banning,
+a tight-packing cut and a failure memo (see ``_exists_cover``) cut the cap-2
 proof on the Fischermann family from 1.5 * 2^gamma nodes to 6 * gamma - 3.
 Private-neighborhood and perfect-domination predicates round out the module.
 """
@@ -79,20 +78,13 @@ def _branch_step(closed: list[int], undom: int, banned: int,
     """Bound one search node, and choose its branch vertex.
 
     ``undom`` is what is left to dominate with at most ``k`` more picks, none
-    of them from ``banned``.  Returns None when the coverage or the packing
-    bound shows that ``k`` picks cannot do it, or when some undominated vertex
-    has no unbanned option left.  Otherwise returns ``(branch_v, packed,
-    used)``: the undominated vertex with the fewest unbanned options (the
-    lowest-numbered one on ties), and the size and union of a greedy packing
-    of pairwise disjoint option sets taken in bit order.
+    of them from ``banned``.  Returns None when the packing bound shows that
+    ``k`` picks cannot do it, or when some undominated vertex has no unbanned
+    option left.  Otherwise returns ``(branch_v, packed, used)``: the
+    undominated vertex with the fewest unbanned options (the lowest-numbered
+    one on ties), and the size and union of a greedy packing of pairwise
+    disjoint option sets taken in bit order.
     """
-    max_cov = 0
-    for nb in closed:
-        cov = (nb & undom).bit_count()
-        if cov > max_cov:
-            max_cov = cov
-    if undom.bit_count() > k * max_cov:
-        return None
     branch_v, branch_opts = -1, 1 << 30
     used, packed = 0, 0
     m = undom
@@ -123,12 +115,11 @@ class _Covers:
     failed: set[tuple[int, frozenset[int]]] = field(default_factory=set)
 
 
-def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
-                  banned: int = 0, chosen: int = 0, covers: _Covers | None = None) -> bool:
-    """Does some set of at most ``k`` vertices dominate the rest?
-
-    The one cover recursion: it collects covers extending ``chosen`` by at most
-    ``k`` picks outside ``banned``, one inside each, and returns True at the cap.
+def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
+                  banned: int, chosen: int, covers: _Covers) -> bool:
+    """The one cover recursion: collect into ``covers`` the covers extending
+    ``chosen`` by at most ``k`` picks outside ``banned``, one inside each, and
+    return True once the cap is reached.
 
     Branching fixes the lowest-numbered candidate that dominates the chosen
     undominated vertex and bans the alternatives already tried, so every
@@ -149,8 +140,6 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int = 0,
       The root never recurs, and a state with at most two picks left costs
       no more to solve again than to key, so neither is recorded.
     """
-    if covers is None:
-        covers = _Covers(1)
     found = covers.found
     if dominated == full:
         found.append(chosen)

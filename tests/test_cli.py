@@ -139,6 +139,20 @@ class TestConstructCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["", "missing/g.g6"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch, target):
+        # an empty path is a path too: it must not fall back to stdout
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys,
+            ["construct", "--family", "fischermann", "--n", "9", "--gamma", "3",
+             "--out", target],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("family", ["bipartite", "fischermann", "star"])
     def test_huge_order_is_usage_error(self, capsys, family):
         gamma = [] if family == "star" else ["--gamma", "2"]
@@ -331,6 +345,19 @@ class TestSearchCommand:
         assert lines == doc["witnesses"]
         for line in lines:
             assert parse_graph6(line).size() == 12
+
+    @pytest.mark.parametrize("target", ["", "missing/w.g6"])
+    def test_unwritable_witness_file_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                    target):
+        # the document is printed before the file is written, so it survives
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, ["search", "--n", "8", "--gamma", "2", "--json", "--witnesses", target],
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(json.loads(out)["witnesses"]) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_witness_without_the_flag(self, capsys):
         # a maximum search stops at its first witness unless asked for classes

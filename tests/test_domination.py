@@ -306,7 +306,7 @@ class TestNodeStep:
 
     def test_packing_cut_without_coverage_cut(self):
         # a star on 0..4 and two isolated vertices: the center covers five of
-        # the seven, so two picks pass the coverage bound, but the options of
+        # the seven, so a coverage count allows two picks, but the options of
         # 0, 5 and 6 are pairwise disjoint and need three
         g = from_edge_list(7, [(0, v) for v in range(1, 5)])
         closed = closed_neighborhoods(g)
@@ -317,12 +317,16 @@ class TestNodeStep:
 
     def test_coverage_cut_without_packing_cut(self):
         # P4 6-0-2-3 and P3 1-4-5: no vertex covers more than three of the
-        # seven, so two picks fall short, though the packing in bit order
-        # (the options of 0, then of 1) is only 2
+        # seven, so a coverage count would cut two picks at the root, but the
+        # node step keeps only the packing bound, and the packing in bit order
+        # (the options of 0, then of 1) is 2; the children cut instead, and
+        # the recursion finds no cover of two
         g = from_edge_list(7, [(6, 0), (0, 2), (2, 3), (1, 4), (4, 5)])
         closed = closed_neighborhoods(g)
-        assert _branch_step(closed, g.full_mask, 0, 2) is None
+        assert _branch_step(closed, g.full_mask, 0, 2) == (1, 2, 0b1010111)
         assert _branch_step(closed, g.full_mask, 0, 3) == (1, 2, 0b1010111)
+        assert _enumerate_covers(closed, g.full_mask, 2, cap=1) == []
+        assert domination_number(g) == 3
 
     def test_no_option_left(self):
         closed = closed_neighborhoods(path(3))
@@ -438,6 +442,30 @@ class TestEnumerationShortcuts:
         g = parse_graph6(g6)
         assert enumerate_minimum_dominating_sets(g) == naive_minimum_dominating_sets(g)
 
+    @pytest.mark.parametrize("builder, nodes", [
+        (construct_fischermann, [3, 9, 27, 45, 75, 123]),
+        (construct_bipartite, [3, 9, 19, 33, 59, 99]),
+    ])
+    def test_uniqueness_proof_size(self, monkeypatch, builder, nodes):
+        # recursion nodes of is_umd at n = 3 * gamma: the root packing is
+        # gamma, so the proof is one cap-2 run at gamma, 6 * gamma - 3 nodes
+        # on the Fischermann family from gamma = 3 on
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _exists_cover(*args)
+
+        monkeypatch.setattr("unidom.domination._exists_cover", counted)
+        seen = []
+        for gamma in (2, 3, 5, 8, 13, 21):
+            calls = 0
+            report = is_umd(builder(3 * gamma, gamma)[0])
+            assert report.unique and report.gamma == gamma
+            seen.append(calls)
+        assert seen == nodes
+
     @pytest.mark.parametrize("g6, pair", CAPPED_PAIRS)
     def test_capped_pair_unchanged(self, g6, pair):
         g = parse_graph6(g6)
@@ -455,16 +483,17 @@ class TestEnumerationShortcuts:
 
 
 class TestCoverRecursion:
-    """``_exists_cover`` answers "a cover of at most k picks", with the
-    enumeration's banning, tight-packing cut and memo, for every k, and
-    ``_enumerate_covers`` collects the covers of at most ``size`` picks: the
+    """``_enumerate_covers`` with a cap of one answers "a cover of at most k
+    picks", with banning, the tight-packing cut and the memo, for every k,
+    and uncapped it collects the covers of at most ``size`` picks: the
     search's one cap-2 collection at gamma relies on the size > gamma side."""
 
     @staticmethod
     def assert_exists_matches_naive(g):
         closed, gamma = closed_neighborhoods(g), naive_domination_number(g)
         for k in range(g.n + 1):
-            assert _exists_cover(closed, g.full_mask, k) == (gamma <= k), (g.adj, k)
+            found = _enumerate_covers(closed, g.full_mask, k, cap=1)
+            assert bool(found) == (gamma <= k), (g.adj, k)
 
     @pytest.mark.skipif(nx is None, reason="networkx is not installed")
     def test_graph_atlas(self):
@@ -506,10 +535,10 @@ class TestCoverRecursion:
 
     @pytest.mark.parametrize("g, size", [(path(3), 2), (cycle(6), 3), (cycle(6), 5),
                                          (star(5), 4)])
-    def test_size_above_gamma_raises(self, g, size):
+    def test_covers_of_at_most_size(self, g, size):
         self.assert_covers_of_at_most(g, size)
 
-    def test_size_above_gamma_raises_on_sweep(self):
+    def test_covers_of_at_most_size_on_sweep(self):
         rng = random.Random(77)
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.5]))

@@ -20,7 +20,7 @@ from unidom import (
     parse_graph6,
     verify_forest_lemma,
 )
-from unidom.domination import _enumerate_covers, _exists_cover
+from unidom.domination import _enumerate_covers
 from unidom.graph import _match, _refine, from_edge_list
 from unidom import search
 from unidom.search import _double_lex_matrices, _merge_classes
@@ -97,7 +97,7 @@ def _unreduced_scan_block(n, k, s, gamma):
         cols = _transpose(rows, q)
         closed = [(rows[i] << k) | (1 << i) for i in range(k)]
         closed += [cols[j] | (1 << (k + j)) for j in range(q)]
-        if _exists_cover(closed, full, gamma - 1):
+        if _enumerate_covers(closed, full, gamma - 1, cap=1):
             continue
         if len(_enumerate_covers(closed, full, gamma, cap=2)) != 1:
             continue
