@@ -32,27 +32,13 @@ def phi(n: int, gamma: int) -> int:
     return max(0, n - 3 * gamma - (2 * ch - fh + 1))
 
 
-def _tail_term(gamma: int, i: int) -> int:
-    # edges contributed by the i-th overflow vertex
-    ch, _ = _halves(gamma)
-    return (2 * ch + 1) + (i + 1) // 2
-
-
-def _bipartite_bound_summation(n: int, gamma: int) -> int:
-    """Reference evaluation with the overflow tail summed term by term."""
-    ch, fh = _halves(gamma)
-    base = 2 * gamma + 2 * ch * fh
-    middle = min(n - 3 * gamma, 2 * ch - fh + 1) * (2 * ch + 1)
-    return base + middle + sum(_tail_term(gamma, i) for i in range(1, phi(n, gamma) + 1))
-
-
 def bipartite_bound(n: int, gamma: int) -> int:
     """Conjectured maximum size of a bipartite graph with a unique minimum
     dominating set, for gamma >= 2 and n >= 3*gamma.
 
     Same three-part structure as the displayed formula (base, capped middle
-    block, overflow tail); the tail sum is folded to a closed form that the
-    test suite checks against the term-by-term evaluation.
+    block, overflow tail); the tail sum is folded to a closed form, and the
+    test suite checks it against a term-by-term evaluation of the formula.
     """
     if gamma < 2:
         raise ValueError("bound requires gamma >= 2 (see star_bound for gamma = 1)")

@@ -231,6 +231,14 @@ def cmd_search(args) -> int:
         print(f"scanned={scanned} best={best}", file=sys.stderr)
 
     reporter = progress if args.progress else None
+    # opened before the search, so that a path that cannot be written fails
+    # at once instead of after the whole search; appending keeps what a file
+    # already holds until the witnesses replace it
+    if args.witnesses is not None:
+        try:
+            open(args.witnesses, "a").close()
+        except OSError as exc:
+            raise CliError(f"cannot write {args.witnesses}: {exc}") from exc
     if args.size is None:
         result = max_umd_bipartite_size(
             args.n, args.gamma, budget=args.budget,

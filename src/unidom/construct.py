@@ -14,7 +14,6 @@ from typing import Optional
 
 from .bounds import phi
 from .domination import (
-    _perfect_domination,
     closed_neighborhoods_disjoint,
     exterior_private_neighbors,
     is_dominating,
@@ -283,10 +282,11 @@ def verify_construction(g: Graph, layout: ConstructionLayout,
         match, bit_list(intended), [bit_list(s) for s in report.min_sets]
     )
 
-    perfect = dominates and gamma == want_gamma and _perfect_domination(g, intended)
-    checks["perfectly_dominated"] = CheckResult(perfect, True, perfect)
-
+    # a minimum dominating set is perfect exactly when its closed
+    # neighborhoods are pairwise disjoint
     disjoint = closed_neighborhoods_disjoint(g, intended)
+    perfect = dominates and gamma == want_gamma and disjoint
+    checks["perfectly_dominated"] = CheckResult(perfect, True, perfect)
     checks["closed_neighborhoods_disjoint"] = CheckResult(disjoint, True, disjoint)
 
     if dominates:

@@ -16,7 +16,9 @@ whose remaining options are pairwise disjoint each need a dominator of their
 own.  It never exceeds the true cost, so no dominating set is lost.  Banning,
 a tight-packing cut and a failure memo (see ``_exists_cover``) cut the cap-2
 proof on the Fischermann family from 1.5 * 2^gamma nodes to 6 * gamma - 3.
-Private-neighborhood and perfect-domination predicates round out the module.
+Private-neighborhood predicates round out the module, with one test for
+perfect domination: a dominating set is perfect exactly when its closed
+neighborhoods are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -238,36 +240,21 @@ def check_epn_condition(g: Graph, d: int) -> bool:
     )
 
 
-def _perfect_domination(g: Graph, d: int) -> bool:
-    """Perfect-domination test for ``d``, already known to be a minimum
-    dominating set.
-
-    Checks sum(deg(x) for x in d) == n - |d| and cross-checks the equivalent
-    formulation (d independent, every outside vertex adjacent to exactly one
-    member of d); the two must agree.
-    """
-    degree_form = sum(g.degree(v) for v in iter_bits(d)) == g.n - d.bit_count()
-    independent = all(not g.adj[v] & d for v in iter_bits(d))
-    one_dominator = all(
-        (g.adj[u] & d).bit_count() == 1 for u in iter_bits(g.full_mask & ~d)
-    )
-    structural_form = independent and one_dominator
-    if degree_form != structural_form:
-        raise AssertionError("perfect-domination formulations disagree")
-    return degree_form
-
-
 def is_perfectly_dominated(g: Graph, d: int) -> bool:
-    """Degree-sum test for perfect domination by a minimum dominating set ``d``.
+    """True iff the minimum dominating set ``d`` dominates ``g`` perfectly.
 
-    Raises ValueError unless ``d`` dominates ``g`` and has domination-number
-    size; see ``_perfect_domination`` for the test itself.
+    ``d`` is perfect when sum(deg(x) for x in d) == n - |d|: it is
+    independent and every outside vertex has exactly one neighbor in it.
+    For a dominating ``d`` that holds exactly when the closed neighborhoods
+    of ``d`` are pairwise disjoint, which is the test made here; the test
+    suite checks it against both other forms.  Raises ValueError unless
+    ``d`` dominates ``g`` and has domination-number size.
     """
     if not is_dominating(g, d):
         raise ValueError("set does not dominate the graph")
     if d.bit_count() != domination_number(g):
         raise ValueError("set is not a minimum dominating set")
-    return _perfect_domination(g, d)
+    return closed_neighborhoods_disjoint(g, d)
 
 
 def closed_neighborhoods_disjoint(g: Graph, d: int) -> bool:
@@ -325,5 +312,5 @@ def is_umd(g: Graph) -> DominationReport:
         report.epn_condition_met = all(
             m.bit_count() >= 2 for m in report.epn_by_dominator.values()
         )
-        report.perfectly_dominated = _perfect_domination(g, d)
+        report.perfectly_dominated = closed_neighborhoods_disjoint(g, d)
     return report

@@ -134,12 +134,10 @@ def check_bipartition(g: Graph, p: Bipartition) -> None:
         raise ValueError("partition sides overlap")
     if (p.a | p.b) != g.full_mask:
         raise ValueError("partition does not cover all vertices")
-    for v in iter_bits(p.a):
-        if g.adj[v] & p.a:
-            raise ValueError(f"edge inside partition side at vertex {v}")
-    for v in iter_bits(p.b):
-        if g.adj[v] & p.b:
-            raise ValueError(f"edge inside partition side at vertex {v}")
+    for side in (p.a, p.b):
+        for v in iter_bits(side):
+            if g.adj[v] & side:
+                raise ValueError(f"edge inside partition side at vertex {v}")
 
 
 def find_bipartition(g: Graph) -> Optional[Bipartition]:

@@ -42,8 +42,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 # _exists_cover stays bound here because perfbench/spans.py wraps it in this module
-from .domination import _enumerate_covers, _exists_cover, exterior_private_neighbors
-from .graph import Graph, _match, _refine, emit_graph6, iter_bits
+from .domination import _enumerate_covers, _exists_cover, check_epn_condition
+from .graph import Graph, _match, _refine, emit_graph6
 
 HARD_CAP = 12
 
@@ -100,12 +100,11 @@ def _assert_unique_domination_properties(g: Graph, gamma: int, dset: int) -> Non
         raise AssertionError(
             f"unique minimum dominating set on n={g.n} < 3*gamma={3 * gamma}"
         )
-    for v in iter_bits(dset):
-        count = exterior_private_neighbors(g, v, dset).bit_count()
-        if count < 2:
-            raise AssertionError(
-                f"dominator {v} has {count} exterior private neighbors"
-            )
+    if not check_epn_condition(g, dset):
+        raise AssertionError(
+            "unique minimum dominating set with a dominator that has fewer "
+            "than two exterior private neighbors"
+        )
 
 
 @cache

@@ -49,6 +49,21 @@ def naive_minimum_dominating_sets(g: Graph) -> list[int]:
     return sorted(out)
 
 
+def perfect_by_degree_sum(g: Graph, d: int) -> bool:
+    """Perfect domination by the dominating set ``d`` in its degree-sum
+    form: sum(deg(x) for x in d) == n - |d|."""
+    return sum(g.adj[v].bit_count() for v in iter_bits(d)) == g.n - d.bit_count()
+
+
+def perfect_by_structure(g: Graph, d: int) -> bool:
+    """Perfect domination by the dominating set ``d`` in its structural
+    form: ``d`` is independent and every vertex outside it has exactly one
+    neighbor in it."""
+    outside = [u for u in range(g.n) if not (d >> u) & 1]
+    independent = all(not g.adj[v] & d for v in iter_bits(d))
+    return independent and all((g.adj[u] & d).bit_count() == 1 for u in outside)
+
+
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """Try every vertex bijection; usable up to n = 7."""
     if g.n != h.n:

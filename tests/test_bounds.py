@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,22 @@ from unidom import (
     tau,
     vizing_bound,
 )
-from unidom.bounds import _bipartite_bound_summation, gamma2_m2_strict
+from unidom.bounds import gamma2_m2_strict
+
+
+def bipartite_bound_by_terms(n, gamma):
+    """The paper's three-part formula for m(n, gamma), the overflow tail
+    summed term by term: a base of 2*gamma + 2*ceil(g/2)*floor(g/2), a
+    middle block of up to 2*ceil(g/2) - floor(g/2) + 1 vertices with
+    2*ceil(g/2) + 1 edges each, and an i-th overflow vertex with
+    2*ceil(g/2) + 1 + ceil(i/2) edges."""
+    up, down = math.ceil(gamma / 2), math.floor(gamma / 2)
+    capacity = 2 * up - down + 1
+    base = 2 * gamma + 2 * up * down
+    middle = min(n - 3 * gamma, capacity) * (2 * up + 1)
+    overflow = max(0, n - 3 * gamma - capacity)
+    tail = sum(2 * up + 1 + math.ceil(i / 2) for i in range(1, overflow + 1))
+    return base + middle + tail
 
 
 class TestPhi:
@@ -57,7 +73,7 @@ class TestBipartiteBound:
     def test_folded_tail_matches_summation(self):
         for gamma in range(2, 9):
             for n in range(3 * gamma, 3 * gamma + 120):
-                assert bipartite_bound(n, gamma) == _bipartite_bound_summation(n, gamma)
+                assert bipartite_bound(n, gamma) == bipartite_bound_by_terms(n, gamma)
 
     def test_n3g_specialization(self):
         for gamma in range(2, 101):

@@ -349,14 +349,18 @@ class TestSearchCommand:
     @pytest.mark.parametrize("target", ["", "missing/w.g6"])
     def test_unwritable_witness_file_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                                     target):
-        # the document is printed before the file is written, so it survives
+        # the path is checked before the search, so a long search never starts
+        def never_called(*args, **kwargs):
+            raise AssertionError("the search ran before the witness path was checked")
+
+        monkeypatch.setattr(cli, "max_umd_bipartite_size", never_called)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(
-            capsys, ["search", "--n", "8", "--gamma", "2", "--json", "--witnesses", target],
+            capsys, ["search", "--n", "12", "--gamma", "4", "--witnesses", target],
         )
         assert code == 2
         assert err.startswith(f"error: cannot write {target}: ")
-        assert len(json.loads(out)["witnesses"]) == 3
+        assert out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_one_witness_without_the_flag(self, capsys):

@@ -21,7 +21,11 @@ from unidom import (
 )
 from unidom.construct import _bipartite_edge_groups
 
-from conftest import assert_unique_domination_theory
+from conftest import (
+    assert_unique_domination_theory,
+    perfect_by_degree_sum,
+    perfect_by_structure,
+)
 
 
 class TestBipartiteFamily:
@@ -266,6 +270,9 @@ class TestVerifyConstruction:
                     g, layout = builder(n, gamma)
                     cert = verify_construction(g, layout, bound(n, gamma))
                     assert cert.passed, (builder.__name__, n, gamma, cert.failures())
+                    d = layout.intended_dominators
+                    perfect = cert.checks["perfectly_dominated"].passed
+                    assert perfect == perfect_by_degree_sum(g, d) == perfect_by_structure(g, d)
                     count += 1
         assert count == 1220
 

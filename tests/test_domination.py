@@ -22,7 +22,12 @@ from unidom import (
     mask_of,
     parse_graph6,
 )
-from unidom.construct import construct_bipartite, construct_fischermann
+from unidom.construct import (
+    ConstructionLayout,
+    construct_bipartite,
+    construct_fischermann,
+    verify_construction,
+)
 from unidom.domination import (
     _branch_step,
     _enumerate_covers,
@@ -38,6 +43,8 @@ from conftest import (
     graphs,
     naive_domination_number,
     naive_minimum_dominating_sets,
+    perfect_by_degree_sum,
+    perfect_by_structure,
     random_graph,
 )
 
@@ -187,12 +194,32 @@ class TestPerfectDomination:
         with pytest.raises(ValueError):
             is_perfectly_dominated(path(3), mask_of([0, 2]))
 
+    @staticmethod
+    def _check_against_oracles(g):
+        # every flag the package reports equals the degree-sum and the
+        # structural form on every minimum set
+        sets = enumerate_minimum_dominating_sets(g)
+        for d in sets:
+            want = perfect_by_degree_sum(g, d)
+            assert perfect_by_structure(g, d) == want
+            assert is_perfectly_dominated(g, d) == want
+            layout = ConstructionLayout(role_of={}, labels={}, intended_dominators=d)
+            cert = verify_construction(g, layout, g.size())
+            assert cert.checks["perfectly_dominated"].passed == want
+        report = is_umd(g)
+        assert report.perfectly_dominated == (
+            report.unique and perfect_by_degree_sum(g, sets[0])
+        )
+
     @given(graphs(max_n=9))
     @settings(max_examples=80)
     def test_formulations_agree(self, g):
-        # is_perfectly_dominated raises internally if its two tests disagree
-        for d in enumerate_minimum_dominating_sets(g):
-            is_perfectly_dominated(g, d)
+        self._check_against_oracles(g)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_formulations_agree_on_graph_atlas(self):
+        for h in nx.graph_atlas_g():
+            self._check_against_oracles(from_edge_list(h.number_of_nodes(), list(h.edges())))
 
 
 class TestClosedNeighborhoodsDisjoint:

@@ -512,6 +512,29 @@ class TestSearchInternals:
         assert calls[-1][0] == _reduced_space_size(6)
 
 
+class TestWitnessAssertion:
+    """Every witness the search finds must have n >= 3*gamma and two
+    exterior private neighbors per dominator; a violation raises."""
+
+    def test_order_below_three_gamma_raises(self):
+        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(AssertionError, match=r"n=4 < 3\*gamma=6"):
+            search._assert_unique_domination_properties(g, 2, 0b0110)
+
+    def test_single_exterior_private_neighbor_raises(self):
+        # dominator 1 keeps only vertex 4 to itself: vertex 5 sees both dominators
+        g = from_edge_list(6, [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5)])
+        with pytest.raises(AssertionError, match="exterior private neighbors"):
+            search._assert_unique_domination_properties(g, 2, 0b11)
+
+    def test_search_witness_passes(self):
+        result = max_umd_bipartite_size(9, 3, collect_witnesses=False)
+        g = parse_graph6(result.witnesses[0])
+        report = is_umd(g)
+        assert report.unique and report.gamma == 3
+        search._assert_unique_domination_properties(g, 3, report.min_sets[0])
+
+
 class TestLevelOrder:
     """The maximum search scans edge-count levels densest first, so the
     first level with a witness is the maximum."""
