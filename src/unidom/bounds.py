@@ -39,6 +39,13 @@ def bipartite_bound(n: int, gamma: int) -> int:
     Same three-part structure as the displayed formula (base, capped middle
     block, overflow tail); the tail sum is folded to a closed form, and the
     test suite checks it against a term-by-term evaluation of the formula.
+
+    The exhaustive search meets this value at (11, 3) and (12, 3), but at
+    (13, 4) it finds ``L???GOooFg^?~?``: bipartite, 22 edges, and a unique
+    minimum dominating set of 4 vertices, one edge above the 21 given here
+    (a test confirms it by brute force).  Only the paper's abstract is at
+    hand, so whether the conjecture or this transcription of it is off is
+    unknown.
     """
     if gamma < 2:
         raise ValueError("bound requires gamma >= 2 (see star_bound for gamma = 1)")
@@ -177,7 +184,15 @@ def gamma2_case_bounds(n: int) -> Gamma2CaseBounds:
 
 def gamma2_m2_strict(n: int) -> int:
     """Adjacent-dominators case bound with the ceiling kept on the forest
-    term; the default m2 drops it, which can only loosen the bound."""
+    term.
+
+    The default ``gamma2_case_bounds(n).m2`` lies 2/3 below this value with
+    the ceiling dropped, so below this one too, and it is not an upper
+    bound: an exhaustive scan of n = 6..11 found adjacent-dominator
+    witnesses above it at n = 6, 8, 9 and 11 (``G?ffF_``, n = 8, has 12
+    edges against 34/3).  The largest adjacent-dominator witness met this
+    value at every n = 6..11.
+    """
     if n < 6:
         raise ValueError("requires n >= 6")
     product = ((n - 1) // 2) * ((n - 2) // 2)

@@ -17,10 +17,13 @@ share its key.  The tests check this enumeration against the unreduced scan
 of every labeled mask for all small orders, and against a Burnside count of
 the matrices up to row and column permutations for larger ones.
 
-The per-matrix path is kept lean: the generator's row tables are built once
-per column count, the last row is read from the rows of the weight still
-needed, ``closed`` is filled in one pass over each row's set bits, and the
-witness test is one solve, the cap-2 cover collection at gamma.
+The per-matrix path is kept lean: the walk's row tables are built once per
+column count, the last row is read from the rows of the weight still
+needed, and ``closed`` is carried down the walk, each fixed row adding its
+vertex to its columns once per prefix.  The witness test is one solve, the
+cap-2 cover collection at gamma.  The walk also skips every prefix whose
+completions that test would all reject (see ``_double_lex_matrices``), so
+the witnesses come in the same order as over the full double-lex sequence.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
 serves both searches: it takes edge-count levels in nonincreasing order and
@@ -29,7 +32,8 @@ count, densest first, so the first level with a witness is the maximum and
 every sparser block is skipped; the witness count passes its one edge
 count.  ``graphs_scanned`` reports the labeled masks of the side-fixed
 space that a run accounts for, and ``masks_visited`` the double-lex
-matrices it actually visited.
+matrices the walk reached; one under a cut prefix is accounted for, not
+reached.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ class SearchResult:
     it, except in a maximum search without ``collect_witnesses``, which stops
     at its first witness and lists that one graph.
     ``graphs_scanned`` counts the labeled masks of the side-fixed space the
-    run accounts for, and ``masks_visited`` the double-lex matrices visited
-    to account for them; a block cut short by the budget adds to neither.
+    run accounts for, and ``masks_visited`` the double-lex matrices the walk
+    reached to account for them (one under a cut prefix is not); a block
+    cut short by the budget adds to neither.
     """
 
     n: int
@@ -108,24 +113,28 @@ def _assert_unique_domination_properties(g: Graph, gamma: int, dset: int) -> Non
 
 
 @cache
-def _row_tables(q: int) -> tuple[list[int], list[int], list[list[int]]]:
+def _row_tables(q: int) -> tuple[list[int], list[int], list[list[int]], list[tuple[int, ...]]]:
     """Tables over the q-bit rows, built on first use for each q.
 
     ``weight[r]`` is the number of ones in row r, ``most[r]`` the largest
-    weight of any row r' <= r, and ``by_weight[w]`` the nonzero rows of
-    weight w in decreasing order.
+    weight of any row r' <= r, ``by_weight[w]`` the nonzero rows of weight w
+    in decreasing order, and ``ones[r]`` the columns where row r has a one.
     """
     weight = [r.bit_count() for r in range(1 << q)]
     most = list(accumulate(weight, max))
     by_weight: list[list[int]] = [[] for _ in range(q + 1)]
     for r in range((1 << q) - 1, 0, -1):
         by_weight[weight[r]].append(r)
-    return weight, most, by_weight
+    ones = [tuple(j for j in range(q) if r >> j & 1) for r in range(1 << q)]
+    return weight, most, by_weight, ones
 
 
-def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
-    """Yield every k x q 0/1 matrix in double-lex form with exactly ``s``
-    ones and no zero row or column.
+def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
+                         deadline: Optional[float] = None) -> Iterator[list[int]]:
+    """Walk the k x q 0/1 matrices in double-lex form with exactly ``s``
+    ones and no zero row or column, and yield the closed neighborhoods of
+    each one's bipartite graph, except under a prefix that rules out a
+    witness at ``gamma``.
 
     Row i is the q-bit integer whose bit j is entry (i, j).  Double-lex form
     means the rows are nonincreasing as integers and each column j, read top
@@ -134,14 +143,43 @@ def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
     equal, which is when a row may not put a one in column j without one in
     column j+1.  The last row must hold exactly the ones left, so it is
     taken from the rows of that weight without another level of recursion.
+
+    Row i is vertex i and column j is vertex k + j.  Each chosen row adds
+    its vertex to the closed neighborhoods of its columns once, in a copy
+    for the subtree below it, so each yielded list is the caller's to keep.
+
+    A prefix is cut when the graph H on its fixed rows and all q columns has
+    a dominating set D of at most gamma - t vertices, t >= 1 being the rows
+    still free.  The walk fills those with nonzero rows, so D and the free
+    row vertices dominate every completion with at most gamma vertices.  A
+    free row vertex x has a neighbor c: if c is in D, dropping x leaves a
+    smaller dominating set, and otherwise swapping x for c gives a second
+    one.  Either way the completion has two dominating sets of at most
+    gamma vertices, and the witness test rejects it.  The test runs only
+    when gamma - t >= 2: one vertex dominates a prefix only when the prefix
+    has a single row, adjacent to every column, or a single column, so a
+    one-pick test would seldom cut.  At gamma = 2 nothing is cut.
+
+    Raises TimeoutError once ``deadline`` has passed, checked at the start,
+    at each prefix test and at each matrix.
     """
+    if deadline is not None and time.monotonic() >= deadline:
+        raise TimeoutError
     if k == 0 or not k <= s <= k * q:
         return
-    weight, most, by_weight = _row_tables(q)
-    rows = [0] * k
+    weight, most, by_weight, ones = _row_tables(q)
     last = k - 1
+    columns = ((1 << q) - 1) << k
 
-    def extend(i: int, prev: int, tied: int, left: int, cols: int):
+    def with_row(closed: list[int], i: int, r: int) -> list[int]:
+        bit = 1 << i
+        closed = closed.copy()
+        closed[i] = r << k | bit
+        for j in ones[r]:
+            closed[k + j] |= bit
+        return closed
+
+    def extend(i: int, prev: int, tied: int, left: int, cols: int, closed: list[int]):
         if i == last:
             # the rows above can leave more ones than one row holds
             if left > q:
@@ -150,62 +188,60 @@ def _double_lex_matrices(k: int, q: int, s: int) -> Iterator[tuple[int, ...]]:
                 # column 0 is the least column: no column is empty iff it is not
                 if r > prev or r & ~(r >> 1) & tied or not (cols | r) & 1:
                     continue
-                rows[i] = r
-                yield tuple(rows)
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError
+                yield with_row(closed, i, r)
             return
         rows_left = k - i
+        free = rows_left - 1
+        test = gamma - free >= 2
+        prefix_full = (2 << i) - 1 | columns
         for r in range(prev, 0, -1):
             if left > rows_left * most[r]:
                 break
             if r & ~(r >> 1) & tied:
                 continue
             rest = left - weight[r]
-            if rest < rows_left - 1:
+            if rest < free:
                 continue
-            rows[i] = r
-            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r)
+            prefix = with_row(closed, i, r)
+            if test:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError
+                if _enumerate_covers(prefix, prefix_full, gamma - free, cap=1):
+                    continue
+            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r, prefix)
 
-    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0)
+    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0,
+                      [0] * k + [1 << v for v in range(k, k + q)])
 
 
 def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
                 deadline: Optional[float]) -> tuple[list[tuple[str, Graph]], int, bool]:
-    """Scan the double-lex k x (n-k) biadjacency matrices with exactly s edges.
+    """Scan the double-lex k x (n-k) biadjacency matrices with exactly s
+    edges that the walk reaches.
 
-    Returns (witnesses found, matrices visited, timed out).  A witness is an
+    Returns (witnesses found, matrices reached, timed out).  A witness is an
     isolated-vertex-free graph whose domination number is exactly ``gamma``
     realized by a unique minimum set.
     """
-    q = n - k
     full = (1 << n) - 1
     found: list[tuple[str, Graph]] = []
     visited = 0
-    col_loops = [1 << v for v in range(k, n)]
-    if deadline is not None and time.monotonic() >= deadline:
+    try:
+        for closed in _double_lex_matrices(k, n - k, s, gamma, deadline):
+            visited += 1
+            # a smaller domination number or a second minimum set shows a second cover
+            sets = _enumerate_covers(closed, full, gamma, cap=2)
+            if len(sets) != 1 or sets[0].bit_count() != gamma:
+                continue
+            g = Graph(n, tuple(c ^ (1 << v) for v, c in enumerate(closed)))
+            _assert_unique_domination_properties(g, gamma, sets[0])
+            found.append((emit_graph6(g), g))
+            if stop_on_first:
+                return found, visited, False
+    except TimeoutError:
         return found, visited, True
-    for rows in _double_lex_matrices(k, q, s):
-        visited += 1
-        if deadline is not None and time.monotonic() >= deadline:
-            return found, visited, True
-        # row i's vertex is i and column j's is k + j
-        closed = [0] * k + col_loops
-        for i, r in enumerate(rows):
-            bit = 1 << i
-            r <<= k
-            closed[i] = r | bit
-            while r:
-                low = r & -r
-                closed[low.bit_length() - 1] |= bit
-                r ^= low
-        # a smaller domination number or a second minimum set shows a second cover
-        sets = _enumerate_covers(closed, full, gamma, cap=2)
-        if len(sets) != 1 or sets[0].bit_count() != gamma:
-            continue
-        g = Graph(n, tuple(c ^ (1 << v) for v, c in enumerate(closed)))
-        _assert_unique_domination_properties(g, gamma, sets[0])
-        found.append((emit_graph6(g), g))
-        if stop_on_first:
-            return found, visited, False
     return found, visited, False
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,19 @@ from unidom import (
     vizing_bound,
 )
 from unidom.bounds import gamma2_m2_strict
+
+try:
+    import networkx as nx
+except ImportError:  # test-only cross-oracle
+    nx = None
+
+
+def brute_dominating_sets(h, most):
+    """Every dominating set of at most ``most`` vertices of the networkx
+    graph ``h``, by trying each vertex subset."""
+    closed = {v: {v, *h[v]} for v in h}
+    return [set(picks) for size in range(most + 1) for picks in combinations(sorted(h), size)
+            if set().union(*(closed[v] for v in picks)) == set(h)]
 
 
 def bipartite_bound_by_terms(n, gamma):
@@ -83,6 +97,16 @@ class TestBipartiteBound:
         for gamma in range(2, 21):
             for n in range(3 * gamma, 3 * gamma + 61):
                 assert bipartite_bound(n, gamma) <= fischermann_bound(n, gamma)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_exceeded_at_13_4(self):
+        # the exhaustive (13,4) maximum: one class, one edge above the formula
+        h = nx.from_graph6_bytes(b"L???GOooFg^?~?")
+        assert h.number_of_nodes() == 13 and nx.is_connected(h)
+        assert nx.is_bipartite(h)
+        assert sorted(len(side) for side in nx.bipartite.sets(h)) == [6, 7]
+        assert brute_dominating_sets(h, 4) == [{4, 5, 8, 9}]
+        assert h.number_of_edges() == 22 == bipartite_bound(13, 4) + 1
 
 
 class TestGamma2ClosedForm:
@@ -211,6 +235,16 @@ class TestGamma2CaseBounds:
     def test_requires_n6(self):
         with pytest.raises(ValueError):
             gamma2_case_bounds(5)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_adjacent_dominators_above_m2(self):
+        # a witness with adjacent unique dominators and more edges than m2
+        h = nx.from_graph6_bytes(b"G?ffF_")
+        assert h.number_of_nodes() == 8 and nx.is_bipartite(h)
+        assert brute_dominating_sets(h, 2) == [{0, 7}]
+        assert h.has_edge(0, 7)
+        assert h.number_of_edges() == 12 == gamma2_m2_strict(8)
+        assert h.number_of_edges() > gamma2_case_bounds(8).m2 == Fraction(34, 3)
 
     def test_strict_variant_at_most_dropped_form(self):
         for n in range(6, 200):

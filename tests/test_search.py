@@ -1,8 +1,9 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,9 +22,9 @@ from unidom import (
     verify_forest_lemma,
 )
 from unidom.domination import _enumerate_covers
-from unidom.graph import _match, _refine, from_edge_list
+from unidom.graph import _match, _refine, emit_graph6, from_edge_list
 from unidom import search
-from unidom.search import _double_lex_matrices, _merge_classes
+from unidom.search import _double_lex_matrices, _merge_classes, _scan_block
 
 try:
     import networkx as nx
@@ -77,6 +78,12 @@ def _canonical(rows, q):
 def _graph(n, k, rows):
     cols = _transpose(rows, n - k)
     return Graph(n, tuple(rows[v] << k if v < k else cols[v - k] for v in range(n)))
+
+
+def _walk(k, q, s):
+    """The walk's matrices at gamma = 2, where it cuts no prefix, each read
+    back from its closed neighborhoods as a row tuple."""
+    return [tuple(c >> k for c in closed[:k]) for closed in _double_lex_matrices(k, q, s, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,13 @@ class TestDoubleLexGenerator:
     @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 5) for q in range(1, 5)])
     def test_yields_double_lex_isolate_free(self, k, q):
         for s in range(k * q + 1):
-            mats = list(_double_lex_matrices(k, q, s))
+            mats = []
+            for closed in _double_lex_matrices(k, q, s, 2):
+                rows = tuple(c >> k for c in closed[:k])
+                # row i is vertex i and column j is vertex k + j
+                g = _graph(k + q, k, rows)
+                assert closed == [g.adj[v] | 1 << v for v in range(k + q)]
+                mats.append(rows)
             assert len(set(mats)) == len(mats)
             for rows in mats:
                 assert len(rows) == k
@@ -312,28 +325,26 @@ class TestDoubleLexGenerator:
     def test_exact_and_complete_up_to_permutation(self, k, q):
         for s in range(k * q + 1):
             every = [rows for rows in _labeled_matrices(k, q, s) if _isolate_free(rows, q)]
-            mats = set(_double_lex_matrices(k, q, s))
+            mats = set(_walk(k, q, s))
             # exactly the double-lex matrices, and one for every matrix
             assert mats == {rows for rows in every if _is_double_lex(rows, q)}
             assert ({_canonical(rows, q) for rows in every}
                     == {_canonical(rows, q) for rows in mats})
 
     def test_no_side_no_matrix(self):
-        assert list(_double_lex_matrices(0, 5, 0)) == []
+        assert list(_double_lex_matrices(0, 5, 0, 2)) == []
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_same_sequence_as_reference_small(self, k):
         for q in range(1, 7):
             for s in range(k * q + 2):
-                assert (list(_double_lex_matrices(k, q, s))
-                        == list(_reference_double_lex(k, q, s)))
+                assert _walk(k, q, s) == list(_reference_double_lex(k, q, s))
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_same_sequence_as_reference_by_order(self, n):
         for k in range(n // 2 + 1):
             for s in range(k * (n - k) + 1):
-                assert (list(_double_lex_matrices(k, n - k, s))
-                        == list(_reference_double_lex(k, n - k, s)))
+                assert _walk(k, n - k, s) == list(_reference_double_lex(k, n - k, s))
 
     @pytest.mark.parametrize("k,q,s", [(2, 4, 6), (2, 6, 10), (3, 5, 11), (3, 6, 13),
                                        (4, 4, 11), (5, 6, 20)])
@@ -341,7 +352,7 @@ class TestDoubleLexGenerator:
         leftovers = []
         expected = list(_reference_double_lex(k, q, s, leftovers))
         assert any(left > q for left in leftovers)
-        assert list(_double_lex_matrices(k, q, s)) == expected
+        assert _walk(k, q, s) == expected
 
 
 class TestOrbitCount:
@@ -358,8 +369,97 @@ class TestOrbitCount:
         for k in range(1, n // 2 + 1):
             q = n - k
             for s in range(k, k * q + 1):
-                forms = {_row_canonical(rows, q) for rows in _double_lex_matrices(k, q, s)}
+                forms = {_row_canonical(rows, q) for rows in _walk(k, q, s)}
                 assert len(forms) == _isolate_free_orbits(k, q, s), (k, q, s)
+
+
+def _cap2_filter(n, k, s, gamma):
+    """graph6 of each reference double-lex matrix that the witness test keeps,
+    in order: the block as scanned without the prefix cut."""
+    full = (1 << n) - 1
+    out = []
+    for rows in _reference_double_lex(k, n - k, s):
+        g = _graph(n, k, rows)
+        sets = _enumerate_covers([g.adj[v] | 1 << v for v in range(n)], full, gamma, cap=2)
+        if len(sets) == 1 and sets[0].bit_count() == gamma:
+            out.append(emit_graph6(g))
+    return out
+
+
+def _dominating_sets(closed, vertices, most, stop=None):
+    """Dominating sets of at most ``most`` of ``vertices``, by trying every
+    subset; stops once ``stop`` are found."""
+    full = sum(1 << v for v in vertices)
+    out = []
+    for size in range(most + 1):
+        for picks in combinations(vertices, size):
+            covered = 0
+            for v in picks:
+                covered |= closed[v]
+            if covered & full == full:
+                out.append(picks)
+                if len(out) == stop:
+                    return out
+    return out
+
+
+class TestPrefixCut:
+    """The walk skips a prefix whose graph has a dominating set of at most
+    gamma - t vertices, t being its free rows; no completion is a witness."""
+
+    @pytest.mark.parametrize("gamma", [3, 4])
+    @pytest.mark.parametrize("n", [*range(2, 10), *(pytest.param(n, marks=pytest.mark.extended)
+                                                   for n in (10, 11))])
+    def test_same_witnesses_as_uncut_walk(self, n, gamma):
+        for k in range(1, n // 2 + 1):
+            for s in range(k, k * (n - k) + 1):
+                found, _, timed_out = _scan_block(n, k, s, gamma, stop_on_first=False,
+                                                  deadline=None)
+                assert not timed_out
+                assert [g6 for g6, _ in found] == _cap2_filter(n, k, s, gamma), (k, s)
+
+    def test_deadline_checked_at_prefix_test(self, monkeypatch):
+        # the clock passes the deadline right after the walk's start check;
+        # at gamma = 4 the two-row prefixes of a 4-row matrix are tested
+        # before any matrix is reached
+        ticks = iter([0.0])
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
+        solves = []
+        monkeypatch.setattr(search, "_enumerate_covers", lambda *args, **kw: solves.append(args))
+        with pytest.raises(TimeoutError):
+            next(_double_lex_matrices(4, 4, 12, 4, deadline=5.0))
+        assert solves == []
+
+    @pytest.mark.parametrize("k,q,gamma", [(3, 3, 3), (3, 4, 3), (4, 3, 3), (4, 4, 3),
+                                           (3, 4, 4), (4, 3, 4), (4, 4, 4)])
+    def test_cut_prefixes_complete_to_no_witness(self, monkeypatch, k, q, gamma):
+        cuts = set()
+
+        def recording(closed, full, size, cap=None):
+            sets = _enumerate_covers(closed, full, size, cap)
+            if sets:
+                cuts.add((tuple(c >> k for c, v in zip(closed, range(k)) if full >> v & 1), size))
+            return sets
+
+        monkeypatch.setattr(search, "_enumerate_covers", recording)
+        for s in range(k, k * q + 1):
+            for _ in _double_lex_matrices(k, q, s, gamma):
+                pass
+        monkeypatch.undo()
+        assert cuts
+        n = k + q
+        for fixed, size in cuts:
+            free = k - len(fixed)
+            assert free >= 1 and size == gamma - free >= 2
+            # the prefix graph: its fixed rows and every column
+            prefix = _graph(len(fixed) + q, len(fixed), fixed)
+            closed = [prefix.adj[v] | 1 << v for v in range(prefix.n)]
+            assert _dominating_sets(closed, range(prefix.n), size, stop=1)
+            # any nonzero free rows, in any order, leave two small dominating sets
+            for rest in combinations_with_replacement(range(1, 1 << q), free):
+                g = _graph(n, k, fixed + rest)
+                closed = [g.adj[v] | 1 << v for v in range(n)]
+                assert len(_dominating_sets(closed, range(n), gamma, stop=2)) == 2, rest
 
 
 class TestMaxSearch:
@@ -433,9 +533,8 @@ class TestMaxSearch:
         assert any(are_isomorphic(g, parse_graph6(w)) for w in result.witnesses)
 
 
-@pytest.mark.extended
 class TestBeyondOrderTen:
-    # the reach that symmetry breaking buys: orders 11 and 12
+    # the reach that symmetry breaking and the prefix cut buy: orders 11 and 12
     def _check(self, result, n, gamma, size, count):
         assert result.complete
         assert result.max_size == size
@@ -458,6 +557,7 @@ class TestBeyondOrderTen:
         g, _ = construct_bipartite(12, 3)
         assert are_isomorphic(g, parse_graph6(result.witnesses[0]))
 
+    @pytest.mark.extended
     def test_12_4_meets_n3g_bound(self):
         result = max_umd_bipartite_size(12, 4)
         self._check(result, 12, 4, n3g_bound(4), 11)
@@ -562,7 +662,8 @@ class TestLevelOrder:
         if not collect:
             assert merged == [result.max_size]
 
-    @pytest.mark.parametrize("collect, visited", [(False, 1508), (True, 1861)])
+    # matrices reached: a matrix under a cut prefix is accounted for, not visited
+    @pytest.mark.parametrize("collect, visited", [(False, 646), (True, 938)])
     def test_9_3_masks_visited(self, collect, visited):
         result = max_umd_bipartite_size(9, 3, collect_witnesses=collect)
         assert (result.max_size, result.masks_visited) == (10, visited)
