@@ -203,7 +203,9 @@ def construct_fischermann(n: int, gamma: int) -> tuple[Graph, ConstructionLayout
 def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
     """K_{1,n-1}: the unique-dominator graph for gamma = 1, needs n >= 3."""
     _check_vertex_count(n)
-    if n < 3:
+    if n < 2:
+        raise ValueError(f"a star with a unique dominator needs n >= 3, got n = {n}")
+    if n == 2:
         raise ValueError("a two-vertex star has two minimum dominating sets")
     g = from_edge_list(n, [(0, v) for v in range(1, n)])
     role_of = {0: "D"}

@@ -17,6 +17,17 @@ share its key.  The tests check this enumeration against the unreduced scan
 of every labeled mask for all small orders, and against a Burnside count of
 the matrices up to row and column permutations for larger ones.
 
+The walk also skips double-lex matrices that cannot be the lex-max member
+of their orbit under row and column permutations, the matrix read as its
+tuple of rows.  Two lex-leader rules (orderly generation, after Read's
+"Every one a winner", 1978) are checked as each row is placed: no row is
+heavier than row 0, and no row below row 1 ranks above row 1, a row's rank
+being its ones inside row 0, then its ones outside it (the swap that proves
+them is in ``_double_lex_matrices``).  The walk meets the matrices in
+decreasing lex order, so the first member of an orbit it meets is the
+lex-max one, which both rules keep; the witnesses it finds first, and so
+every class representative, are the same as without the rules.
+
 The per-matrix path is kept lean: the walk's row tables are built once per
 column count, the last row is read from the rows of the weight still
 needed, and ``closed`` is carried down the walk, each fixed row adding its
@@ -31,9 +42,9 @@ scans each over every side split.  The maximum search passes every edge
 count, densest first, so the first level with a witness is the maximum and
 every sparser block is skipped; the witness count passes its one edge
 count.  ``graphs_scanned`` reports the labeled masks of the side-fixed
-space that a run accounts for, and ``masks_visited`` the double-lex
-matrices the walk reached; one under a cut prefix is accounted for, not
-reached.
+space that a run accounts for, and ``masks_visited`` the matrices the walk
+reached; one under a cut prefix, or skipped by a lex-leader rule, is
+accounted for, not reached.
 """
 
 from __future__ import annotations
@@ -61,9 +72,10 @@ class SearchResult:
     it, except in a maximum search without ``collect_witnesses``, which stops
     at its first witness and lists that one graph.
     ``graphs_scanned`` counts the labeled masks of the side-fixed space the
-    run accounts for, and ``masks_visited`` the double-lex matrices the walk
-    reached to account for them (one under a cut prefix is not); a block
-    cut short by the budget adds to neither.
+    run accounts for, and ``masks_visited`` the matrices the walk reached to
+    account for them: the double-lex matrices that keep both lex-leader
+    rules and lie under no cut prefix.  A block cut short by the budget adds
+    to neither.
     """
 
     n: int
@@ -133,8 +145,8 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
                          deadline: Optional[float] = None) -> Iterator[list[int]]:
     """Walk the k x q 0/1 matrices in double-lex form with exactly ``s``
     ones and no zero row or column, and yield the closed neighborhoods of
-    each one's bipartite graph, except under a prefix that rules out a
-    witness at ``gamma``.
+    each one's bipartite graph, except for those that break a lex-leader
+    rule or lie under a prefix that rules out a witness at ``gamma``.
 
     Row i is the q-bit integer whose bit j is entry (i, j).  Double-lex form
     means the rows are nonincreasing as integers and each column j, read top
@@ -143,6 +155,26 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
     equal, which is when a row may not put a one in column j without one in
     column j+1.  The last row must hold exactly the ones left, so it is
     taken from the rows of that weight without another level of recursion.
+
+    Two lex-leader rules skip every matrix that is not the lex-max member
+    of its orbit under row and column permutations, the matrix read as its
+    tuple of rows.  That member is in double-lex form itself, since
+    swapping two rows or two columns out of order gives a larger matrix.
+    Row 0 holds its ones in the top columns, so:
+
+    1. No row is heavier than row 0.  Moving a heavier row to the top and
+       its ones to the top columns gives a larger row 0.
+    2. No row below row 1 ranks above row 1, the rank of a row being
+       (its ones inside row 0, its ones outside row 0), compared
+       lexicographically.  Moving such a row to position 1, then permuting
+       the columns inside row 0 and those outside it, which leaves row 0
+       as it is, gives a larger row 1 under the same row 0.
+
+    Rule 1 also caps the ones the free rows can take at row 0's weight
+    each.  Both rules read only the rows already placed, so they cut a
+    prefix before its prefix test.  The walk runs in decreasing lex order,
+    so the first member of each orbit it reaches is the lex-max one, and
+    the rules never move a first find.
 
     Row i is vertex i and column j is vertex k + j.  Each chosen row adds
     its vertex to the closed neighborhoods of its columns once, in a copy
@@ -168,6 +200,7 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
     if k == 0 or not k <= s <= k * q:
         return
     weight, most, by_weight, ones = _row_tables(q)
+    span = q + 1
     last = k - 1
     columns = ((1 << q) - 1) << k
 
@@ -179,14 +212,21 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
             closed[k + j] |= bit
         return closed
 
-    def extend(i: int, prev: int, tied: int, left: int, cols: int, closed: list[int]):
+    def extend(i: int, prev: int, tied: int, left: int, cols: int, closed: list[int],
+               top: int, ceiling: int):
+        # top is row 0 and ceiling the rank of row 1; until they are placed,
+        # all ones and a rank no row exceeds.  A rank is kept as one number,
+        # ones inside row 0 then ones in all, which orders rows as
+        # (inside, outside) does
         if i == last:
-            # the rows above can leave more ones than one row holds
-            if left > q:
+            # the rows above can leave more ones than row 0 holds
+            if left > weight[top]:
                 return
             for r in by_weight[left]:
                 # column 0 is the least column: no column is empty iff it is not
                 if r > prev or r & ~(r >> 1) & tied or not (cols | r) & 1:
+                    continue
+                if weight[r & top] * span + left > ceiling:
                     continue
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError
@@ -196,13 +236,20 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
         free = rows_left - 1
         test = gamma - free >= 2
         prefix_full = (2 << i) - 1 | columns
+        heaviest = weight[top]
         for r in range(prev, 0, -1):
             if left > rows_left * most[r]:
                 break
             if r & ~(r >> 1) & tied:
                 continue
-            rest = left - weight[r]
-            if rest < free:
+            w = weight[r]
+            rank = weight[r & top] * span + w
+            if w > heaviest or rank > ceiling:
+                continue
+            # each free row holds at least one one, and no more than row 0
+            # (q while row 0 itself is being placed)
+            rest = left - w
+            if not free <= rest <= free * heaviest:
                 continue
             prefix = with_row(closed, i, r)
             if test:
@@ -210,10 +257,12 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
                     raise TimeoutError
                 if _enumerate_covers(prefix, prefix_full, gamma - free, cap=1):
                     continue
-            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r, prefix)
+            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r, prefix,
+                              r if i == 0 else top, rank if i == 1 else ceiling)
 
     yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0,
-                      [0] * k + [1 << v for v in range(k, k + q)])
+                      [0] * k + [1 << v for v in range(k, k + q)],
+                      (1 << q) - 1, q * span + q)
 
 
 def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,

@@ -115,6 +115,17 @@ class TestConstructCommand:
         assert code == 0
         assert out.splitlines()[0] == "5 4"
 
+    @pytest.mark.parametrize("n,message", [
+        (0, "a star with a unique dominator needs n >= 3, got n = 0"),
+        (1, "a star with a unique dominator needs n >= 3, got n = 1"),
+        (2, "a two-vertex star has two minimum dominating sets"),
+    ])
+    def test_star_too_few_vertices_is_usage_error(self, capsys, n, message):
+        code, out, err = run(capsys, ["construct", "--family", "star", "--n", str(n)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_star_verify(self, capsys):
         code, out, _ = run(
             capsys, ["construct", "--family", "star", "--n", "5", "--verify"]

@@ -165,8 +165,14 @@ class TestStar:
         assert report.unique and report.min_sets == [mask_of([0])]
 
     def test_two_vertices_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a two-vertex star has two minimum dominating sets$"):
             construct_star(2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_rejected(self, n):
+        with pytest.raises(ValueError,
+                           match=rf"^a star with a unique dominator needs n >= 3, got n = {n}$"):
+            construct_star(n)
 
 
 @pytest.mark.parametrize("build", [

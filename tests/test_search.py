@@ -144,6 +144,32 @@ def _reference_double_lex(k, q, s, leftovers=None):
     yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0)
 
 
+def _keeps_lex_leader_rules(rows):
+    """No row is heavier than row 0, and no row below row 1 ranks above row 1,
+    a row's rank being (its ones inside row 0, its ones outside) compared
+    lexicographically."""
+    top = rows[0]
+
+    def rank(r):
+        return (r & top).bit_count(), (r & ~top).bit_count()
+
+    return (all(r.bit_count() <= top.bit_count() for r in rows)
+            and all(rank(r) <= rank(rows[1]) for r in rows[2:]))
+
+
+def _reference_walk(k, q, s, leftovers=None):
+    """The reference double-lex sequence, restricted to the matrices that keep
+    both lex-leader rules: what the walk yields at gamma = 2."""
+    return [rows for rows in _reference_double_lex(k, q, s, leftovers)
+            if _keeps_lex_leader_rules(rows)]
+
+
+def _lex_max(rows, q):
+    # the largest row tuple over every column permutation, rows sorted down
+    return max(tuple(sorted((table[r] for r in rows), reverse=True))
+               for table in _bit_permutations(q))
+
+
 # ---------------------------------------------------------------------------
 # orbit count: S_k x S_q orbits of k x q matrices, by Burnside's lemma
 
@@ -326,8 +352,10 @@ class TestDoubleLexGenerator:
         for s in range(k * q + 1):
             every = [rows for rows in _labeled_matrices(k, q, s) if _isolate_free(rows, q)]
             mats = set(_walk(k, q, s))
-            # exactly the double-lex matrices, and one for every matrix
-            assert mats == {rows for rows in every if _is_double_lex(rows, q)}
+            # exactly the double-lex matrices that keep the lex-leader rules,
+            # and one for every matrix
+            assert mats == {rows for rows in every
+                            if _is_double_lex(rows, q) and _keeps_lex_leader_rules(rows)}
             assert ({_canonical(rows, q) for rows in every}
                     == {_canonical(rows, q) for rows in mats})
 
@@ -338,21 +366,30 @@ class TestDoubleLexGenerator:
     def test_same_sequence_as_reference_small(self, k):
         for q in range(1, 7):
             for s in range(k * q + 2):
-                assert _walk(k, q, s) == list(_reference_double_lex(k, q, s))
+                assert _walk(k, q, s) == _reference_walk(k, q, s)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_same_sequence_as_reference_by_order(self, n):
         for k in range(n // 2 + 1):
             for s in range(k * (n - k) + 1):
-                assert _walk(k, n - k, s) == list(_reference_double_lex(k, n - k, s))
+                assert _walk(k, n - k, s) == _reference_walk(k, n - k, s)
 
     @pytest.mark.parametrize("k,q,s", [(2, 4, 6), (2, 6, 10), (3, 5, 11), (3, 6, 13),
                                        (4, 4, 11), (5, 6, 20)])
     def test_last_row_with_more_ones_left_than_columns(self, k, q, s):
         leftovers = []
-        expected = list(_reference_double_lex(k, q, s, leftovers))
+        expected = _reference_walk(k, q, s, leftovers)
         assert any(left > q for left in leftovers)
         assert _walk(k, q, s) == expected
+
+    @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 5) for q in range(1, 5)])
+    def test_yields_lex_max_of_every_orbit(self, k, q):
+        # the walk meets each orbit at its lex-max matrix first, so neither
+        # rule may cut it
+        for s in range(k * q + 1):
+            mats = set(_walk(k, q, s))
+            every = [rows for rows in _labeled_matrices(k, q, s) if _isolate_free(rows, q)]
+            assert {_lex_max(rows, q) for rows in every} <= mats, s
 
 
 class TestOrbitCount:
@@ -374,11 +411,11 @@ class TestOrbitCount:
 
 
 def _cap2_filter(n, k, s, gamma):
-    """graph6 of each reference double-lex matrix that the witness test keeps,
-    in order: the block as scanned without the prefix cut."""
+    """graph6 of each reference walk matrix that the witness test keeps, in
+    order: the block as scanned without the prefix cut."""
     full = (1 << n) - 1
     out = []
-    for rows in _reference_double_lex(k, n - k, s):
+    for rows in _reference_walk(k, n - k, s):
         g = _graph(n, k, rows)
         sets = _enumerate_covers([g.adj[v] | 1 << v for v in range(n)], full, gamma, cap=2)
         if len(sets) == 1 and sets[0].bit_count() == gamma:
@@ -534,7 +571,8 @@ class TestMaxSearch:
 
 
 class TestBeyondOrderTen:
-    # the reach that symmetry breaking and the prefix cut buy: orders 11 and 12
+    # the reach that symmetry breaking, the lex-leader rules and the prefix cut
+    # buy: orders 11 and 12
     def _check(self, result, n, gamma, size, count):
         assert result.complete
         assert result.max_size == size
@@ -557,7 +595,6 @@ class TestBeyondOrderTen:
         g, _ = construct_bipartite(12, 3)
         assert are_isomorphic(g, parse_graph6(result.witnesses[0]))
 
-    @pytest.mark.extended
     def test_12_4_meets_n3g_bound(self):
         result = max_umd_bipartite_size(12, 4)
         self._check(result, 12, 4, n3g_bound(4), 11)
@@ -662,8 +699,9 @@ class TestLevelOrder:
         if not collect:
             assert merged == [result.max_size]
 
-    # matrices reached: a matrix under a cut prefix is accounted for, not visited
-    @pytest.mark.parametrize("collect, visited", [(False, 646), (True, 938)])
+    # matrices reached: one skipped by a lex-leader rule or under a cut prefix is
+    # accounted for, not visited
+    @pytest.mark.parametrize("collect, visited", [(False, 325), (True, 459)])
     def test_9_3_masks_visited(self, collect, visited):
         result = max_umd_bipartite_size(9, 3, collect_witnesses=collect)
         assert (result.max_size, result.masks_visited) == (10, visited)
