@@ -16,8 +16,6 @@ from .bounds import (
     n3g_bound,
     phi,
     star_bound,
-    tau,
-    verify_forest_lemma,
     vizing_bound,
 )
 from .construct import (

@@ -2,16 +2,13 @@
 
 Everything here is exact: integers throughout, with rationals where a
 formula genuinely produces one (the adjacent-dominators case bound for
-gamma = 2, and Vizing's bound at odd n - gamma).  ``verify_forest_lemma``
-checks ``min_forest_edges`` by brute force over every labeled graph of a
-small order.
+gamma = 2, and Vizing's bound at odd n - gamma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 
@@ -106,57 +103,12 @@ def vizing_bound(n: int, gamma: int):
     return num // 2 if num % 2 == 0 else Fraction(num, 2)
 
 
-def tau(n: int) -> int:
-    """Count of positive integers below ``n`` with the opposite parity."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    return n // 2
-
-
 def min_forest_edges(n: int) -> int:
     """Minimum size of an order-n graph with no isolated vertex and no
     two-vertex component: ceil(2n/3)."""
     if n < 3:
         raise ValueError("requires n >= 3")
     return -(-2 * n // 3)
-
-
-def _components_ok(n: int, edge_set: tuple[tuple[int, int], ...]) -> bool:
-    # qualifies iff no isolated vertex and no two-vertex component
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = 0
-    for u, v in edge_set:
-        touched |= (1 << u) | (1 << v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    if touched != (1 << n) - 1:
-        return False
-    sizes: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return all(c >= 3 for c in sizes.values())
-
-
-def verify_forest_lemma(n: int) -> bool:
-    """Brute-force the minimum size over all labeled order-n graphs with no
-    isolated vertices and no two-vertex components; compare to the formula."""
-    if not 3 <= n <= 7:
-        raise ValueError("brute force supported for 3 <= n <= 7")
-    pairs = list(combinations(range(n), 2))
-    for s in range(len(pairs) + 1):
-        for edge_set in combinations(pairs, s):
-            if _components_ok(n, edge_set):
-                return s == min_forest_edges(n)
-    raise AssertionError("no qualifying graph found")  # unreachable for n >= 3
 
 
 @dataclass(frozen=True)

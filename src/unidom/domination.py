@@ -165,7 +165,13 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
         allowed &= used
     key = None
     if k > 2 and chosen:
-        key = (k, frozenset(closed[v] & allowed for v in iter_bits(undom)))
+        rows = []
+        m = undom
+        while m:
+            low = m & -m
+            m ^= low
+            rows.append(closed[low.bit_length() - 1] & allowed)
+        key = (k, frozenset(rows))
         if key in covers.failed:
             return False
     hits = len(found)
@@ -219,15 +225,23 @@ def enumerate_minimum_dominating_sets(g: Graph, cap: int | None = None) -> list[
 
 
 def exterior_private_neighbors(g: Graph, v: int, s: int) -> int:
-    """Vertices outside ``s`` whose only neighbor inside ``s`` is ``v``."""
+    """Vertices outside ``s`` whose only neighbor inside ``s`` is ``v``.
+
+    Every such vertex is a neighbor of ``v``, so only ``N(v) - s`` is
+    scanned: the cost is the degree of ``v``, not the order of ``g``.
+    """
     _check_within(g, s)
     if v < 0 or not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not in the set")
+    adj = g.adj
     target = 1 << v
     out = 0
-    for u in iter_bits(g.full_mask & ~s):
-        if g.adj[u] & s == target:
-            out |= 1 << u
+    m = adj[v] & ~s
+    while m:
+        low = m & -m
+        m ^= low
+        if adj[low.bit_length() - 1] & s == target:
+            out |= low
     return out
 
 

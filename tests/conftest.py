@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
-from unidom import Graph, from_edge_list, iter_bits, mask_of
+from unidom import Graph, from_edge_list, iter_bits, mask_of, min_forest_edges
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,56 @@ def assert_unique_domination_theory(g: Graph, gamma: int, dset: int) -> None:
             1 for u in iter_bits(g.full_mask & ~dset) if g.adj[u] & dset == target
         )
         assert epn >= 2, f"dominator {v} has only {epn} exterior private neighbors"
+
+
+# ---------------------------------------------------------------------------
+# proof helpers that feed no claim of the package, checked here on their own
+
+
+def tau(n: int) -> int:
+    """Count of positive integers below ``n`` with the opposite parity."""
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    return n // 2
+
+
+def _components_ok(n: int, edge_set: tuple[tuple[int, int], ...]) -> bool:
+    # qualifies iff no isolated vertex and no two-vertex component
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    touched = 0
+    for u, v in edge_set:
+        touched |= (1 << u) | (1 << v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    if touched != (1 << n) - 1:
+        return False
+    sizes: dict[int, int] = {}
+    for v in range(n):
+        r = find(v)
+        sizes[r] = sizes.get(r, 0) + 1
+    return all(c >= 3 for c in sizes.values())
+
+
+def verify_forest_lemma(n: int) -> bool:
+    """Brute-force the minimum size over all labeled order-n graphs with no
+    isolated vertices and no two-vertex components; compare to
+    ``min_forest_edges``."""
+    if not 3 <= n <= 7:
+        raise ValueError("brute force supported for 3 <= n <= 7")
+    pairs = list(combinations(range(n), 2))
+    for s in range(len(pairs) + 1):
+        for edge_set in combinations(pairs, s):
+            if _components_ok(n, edge_set):
+                return s == min_forest_edges(n)
+    raise AssertionError("no qualifying graph found")  # unreachable for n >= 3
 
 
 # ---------------------------------------------------------------------------

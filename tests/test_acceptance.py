@@ -28,15 +28,15 @@ from unidom import (
     min_forest_edges,
     n3g_bound,
     parse_graph6,
-    tau,
     verify_construction,
-    verify_forest_lemma,
 )
 
 from conftest import (
     assert_unique_domination_theory,
     naive_domination_number,
     random_graph,
+    tau,
+    verify_forest_lemma,
 )
 
 

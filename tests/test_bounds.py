@@ -7,16 +7,21 @@ import pytest
 from unidom import (
     bipartite_bound,
     bipartite_bound_gamma2,
+    bit_list,
+    find_bipartition,
     fischermann_bound,
     gamma2_case_bounds,
+    is_umd,
     min_forest_edges,
     n3g_bound,
     phi,
     star_bound,
-    tau,
     vizing_bound,
 )
 from unidom.bounds import gamma2_m2_strict
+from unidom.search import _scan_block
+
+from conftest import tau
 
 try:
     import networkx as nx
@@ -30,6 +35,44 @@ def brute_dominating_sets(h, most):
     closed = {v: {v, *h[v]} for v in h}
     return [set(picks) for size in range(most + 1) for picks in combinations(sorted(h), size)
             if set().union(*(closed[v] for v in picks)) == set(h)]
+
+
+def _placements(g, d):
+    """Where the two vertices of the unique dominating set ``d`` of ``g``
+    sit.  Two dominators in different components have both non-adjacent
+    placements, since a component's coloring can be flipped."""
+    u, v = bit_list(d)
+    if g.has_edge(u, v):
+        return {"adjacent"}
+    reach, grown = 1 << u, 0
+    while reach != grown:
+        grown = reach
+        for w in bit_list(grown):
+            reach |= g.adj[w]
+    if not (reach >> v) & 1:
+        return {"same side", "opposite, non-adjacent"}
+    p = find_bipartition(g)
+    return {"same side" if (p.a >> u) & 1 == (p.a >> v) & 1 else "opposite, non-adjacent"}
+
+
+def gamma2_placement_maxima(n):
+    """The most edges of a bipartite order-n witness at gamma = 2 for each
+    placement of its two dominators: every block of each level, from the
+    densest down, until all three placements have been seen."""
+    maxima = {}
+    for s in range((n // 2) * (n - n // 2), -1, -1):
+        for k in range(n // 2 + 1):
+            if s > k * (n - k):
+                continue
+            found, _, _ = _scan_block(n, k, s, 2, stop_on_first=False, deadline=None)
+            for _, g in found:
+                report = is_umd(g)
+                assert report.unique and report.gamma == 2
+                for placement in _placements(g, report.min_sets[0]):
+                    maxima.setdefault(placement, s)
+        if len(maxima) == 3:
+            return maxima
+    raise AssertionError(f"only {sorted(maxima)} seen at n = {n}")
 
 
 def bipartite_bound_by_terms(n, gamma):
@@ -245,6 +288,24 @@ class TestGamma2CaseBounds:
         assert h.has_edge(0, 7)
         assert h.number_of_edges() == 12 == gamma2_m2_strict(8)
         assert h.number_of_edges() > gamma2_case_bounds(8).m2 == Fraction(34, 3)
+
+    @pytest.mark.parametrize("n, same, adjacent, opposite", [
+        (6, 4, 6, 6),
+        (7, 6, 8, 9),
+        (8, 8, 12, 12),
+        (9, 10, 15, 16),
+        pytest.param(10, 12, 19, 20, marks=pytest.mark.extended),
+        pytest.param(11, 14, 24, 25, marks=pytest.mark.extended),
+    ])
+    def test_case_maxima_by_placement(self, n, same, adjacent, opposite):
+        # measured from the search's own witnesses, the placement of each
+        # re-derived from its unique set and a two-coloring
+        measured = gamma2_placement_maxima(n)
+        assert measured == {"same side": same, "adjacent": adjacent,
+                            "opposite, non-adjacent": opposite}
+        cb = gamma2_case_bounds(n)
+        assert cb.m1 == same and cb.m3 == opposite
+        assert gamma2_m2_strict(n) == adjacent
 
     def test_strict_variant_at_most_dropped_form(self):
         for n in range(6, 200):

@@ -164,6 +164,33 @@ class TestExteriorPrivateNeighbors:
         with pytest.raises(ValueError, match="vertex -1 is not in the set"):
             exterior_private_neighbors(path(3), -1, mask_of([1]))
 
+    @staticmethod
+    def _textbook(h, v, s):
+        # the vertices outside S whose neighbors inside S are exactly {v}
+        return {u for u in h if u not in s and set(h[u]) & s == {v}}
+
+    def _agrees(self, h, s):
+        g = from_edge_list(h.number_of_nodes(), h.edges())
+        for v in s:
+            assert exterior_private_neighbors(g, v, mask_of(s)) == mask_of(self._textbook(h, v, s))
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_textbook_definition_on_graph_atlas(self):
+        # every vertex set of every graph on at most six vertices
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() > 6:
+                break
+            for bits in range(1 << h.number_of_nodes()):
+                self._agrees(h, set(bit_list(bits)))
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_textbook_definition_seeded_sets_at_seven(self):
+        rng = random.Random(20261019)
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 7:
+                for _ in range(4):
+                    self._agrees(h, {v for v in h if rng.random() < 0.4})
+
 
 class TestEpnCondition:
     def test_reference_graph(self, reference_10_3):

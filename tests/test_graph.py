@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -77,8 +78,70 @@ class TestFromEdgeList:
             from_edge_list(n, [])
 
     def test_asymmetry_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^asymmetric adjacency between 0 and 1$"):
             Graph(2, (0b10, 0b00))
+
+
+# orders at and around the packed row widths of the symmetry check (8, 16,
+# 32 and 64 bits), the empty graph and the 64-vertex cap
+_ROW_WIDTH_ORDERS = [0, 1, 7, 8, 9, 16, 17, 63, 64]
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Adjacency rows of a random simple graph at one of ``_ROW_WIDTH_ORDERS``."""
+    n = draw(st.sampled_from(_ROW_WIDTH_ORDERS))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+class TestRowChecks:
+    """``Graph`` checks its rows on construction: range, self-loops, and
+    symmetry by one packed transpose, with the edge scan only to name a pair."""
+
+    @given(symmetric_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_symmetric_rows_accepted(self, rows):
+        assert Graph(len(rows), tuple(rows)).adj == tuple(rows)
+
+    @given(symmetric_rows().filter(lambda rows: len(rows) >= 2), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_flipped_bit_names_an_asymmetric_pair(self, rows, data):
+        n = len(rows)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        rows[i] ^= 1 << j
+        with pytest.raises(ValueError, match="asymmetric adjacency") as info:
+            Graph(n, tuple(rows))
+        a, b = map(int, re.fullmatch(r"asymmetric adjacency between (\d+) and (\d+)",
+                                     str(info.value)).groups())
+        assert {a, b} == {i, j}
+        assert (rows[a] >> b) & 1 != (rows[b] >> a) & 1
+
+    @given(symmetric_rows().filter(lambda rows: len(rows) >= 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_beyond_range_named(self, rows, data):
+        n = len(rows)
+        i = data.draw(st.integers(0, n - 1))
+        rows[i] |= 1 << data.draw(st.integers(n, 2 * n + 8))
+        with pytest.raises(ValueError, match=f"^row {i} has bits beyond vertex range$"):
+            Graph(n, tuple(rows))
+
+    @given(symmetric_rows().filter(lambda rows: len(rows) >= 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_self_loop_named(self, rows, data):
+        n = len(rows)
+        v = data.draw(st.integers(0, n - 1))
+        rows[v] |= 1 << v
+        with pytest.raises(ValueError, match=f"^self-loop at vertex {v}$"):
+            Graph(n, tuple(rows))
 
 
 class TestDegreeSequence:

@@ -19,12 +19,13 @@ from unidom import (
     max_umd_bipartite_size,
     n3g_bound,
     parse_graph6,
-    verify_forest_lemma,
 )
 from unidom.domination import _enumerate_covers
 from unidom.graph import _match, _refine, emit_graph6, from_edge_list
 from unidom import search
 from unidom.search import _double_lex_matrices, _merge_classes, _scan_block
+
+from conftest import verify_forest_lemma
 
 try:
     import networkx as nx
