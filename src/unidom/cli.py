@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -38,7 +41,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
 )
-from .search import count_extremal_witnesses, max_umd_bipartite_size
+from .search import check_search_args, count_extremal_witnesses, max_umd_bipartite_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,11 +59,37 @@ def _exact_to_json(value):
     return value
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str):
+    """Open ``path`` unbuffered for writing, creating it if missing but not
+    truncating it.
+
+    On ext4, truncating a file that holds data to length zero (``O_TRUNC``)
+    costs an order of magnitude more than writing over the old bytes and
+    cutting the file at the new length, which ``_write_in_place`` does; and
+    a file opened early keeps its content until then."""
     try:
-        Path(path).write_text(text)
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_in_place(out, path: str, text: str) -> None:
+    """Write ``text`` from the start of ``out``, cut a regular file at its
+    end, and close it; ``/dev/null`` and pipes cannot be truncated."""
+    data = memoryview(text.encode())
+    try:
+        while data:  # a raw write may take only part of the bytes
+            data = data[out.write(data):]
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
+        out.close()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_out(path) as out:
+        _write_in_place(out, path, text)
 
 
 def load_graph(path: str) -> Graph:
@@ -231,34 +260,32 @@ def cmd_search(args) -> int:
         print(f"scanned={scanned} best={best}", file=sys.stderr)
 
     reporter = progress if args.progress else None
+    check_search_args(args.n, args.gamma, args.size, args.budget)
     # opened before the search, so that a path that cannot be written fails
-    # at once instead of after the whole search; appending keeps what a file
-    # already holds until the witnesses replace it
-    if args.witnesses is not None:
-        try:
-            open(args.witnesses, "a").close()
-        except OSError as exc:
-            raise CliError(f"cannot write {args.witnesses}: {exc}") from exc
-    if args.size is None:
-        result = max_umd_bipartite_size(
-            args.n, args.gamma, budget=args.budget,
-            collect_witnesses=args.witnesses is not None, progress=reporter,
-        )
-    else:
-        result = count_extremal_witnesses(
-            args.n, args.gamma, args.size, budget=args.budget, progress=reporter,
-        )
-    doc = result.to_json()
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        for key, value in doc.items():
-            if key in ("schema", "kind", "witnesses"):
-                continue
-            print(f"{key}\t{value}")
-    # after the document, so that a file that cannot be written loses no result
-    if args.witnesses is not None:
-        _write_text(args.witnesses, "".join(w + "\n" for w in result.witnesses))
+    # at once instead of after the whole search, and held across it; the
+    # file keeps what it holds until the witnesses are written over it
+    path = args.witnesses
+    with (_open_out(path) if path is not None else nullcontext()) as out:
+        if args.size is None:
+            result = max_umd_bipartite_size(
+                args.n, args.gamma, budget=args.budget,
+                collect_witnesses=path is not None, progress=reporter,
+            )
+        else:
+            result = count_extremal_witnesses(
+                args.n, args.gamma, args.size, budget=args.budget, progress=reporter,
+            )
+        doc = result.to_json()
+        if args.json:
+            print(json.dumps(doc))
+        else:
+            for key, value in doc.items():
+                if key in ("schema", "kind", "witnesses"):
+                    continue
+                print(f"{key}\t{value}")
+        # after the document, so that a file that cannot be written loses no result
+        if out is not None:
+            _write_in_place(out, path, "".join(w + "\n" for w in result.witnesses))
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 

@@ -323,8 +323,6 @@ def _search(n: int, gamma: int, sizes: Iterable[int],
     level has finished without one, so ``best`` is set once and the classes
     found at it are final.  Blocks below ``best`` are skipped, and with
     ``stop_on_first`` so are the rest of its level."""
-    if budget is not None and not budget >= 0:
-        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     best = -1
@@ -371,11 +369,20 @@ def _search(n: int, gamma: int, sizes: Iterable[int],
     )
 
 
-def _check_order(n: int, gamma: int) -> None:
+def check_search_args(n: int, gamma: int, size: Optional[int] = None,
+                      budget: Optional[float] = None) -> None:
+    """Raise ``ValueError`` for arguments that no search accepts.
+
+    Both searches call it first; the CLI calls it before it opens a
+    witness file, so a usage error leaves no file behind."""
     if not 1 <= n <= HARD_CAP:
         raise ValueError(f"order must be between 1 and {HARD_CAP}")
     if gamma < 2:
         raise ValueError("search requires gamma >= 2")
+    if size is not None and size < 0:
+        raise ValueError("size must be nonnegative")
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
 
 
 def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *,
@@ -394,7 +401,7 @@ def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *
     scanned so far and the best size, which is -1 until the first witness
     and the maximum from then on.
     """
-    _check_order(n, gamma)
+    check_search_args(n, gamma, budget=budget)
     return _search(n, gamma, range((n // 2) * (n - n // 2), -1, -1), budget,
                    stop_on_first=not collect_witnesses, progress=progress)
 
@@ -405,8 +412,6 @@ def count_extremal_witnesses(n: int, gamma: int, size: int,
                              ) -> SearchResult:
     """Count isomorphism classes of bipartite graphs with the given order,
     domination number, unique minimum dominating set, and exact size."""
-    _check_order(n, gamma)
-    if size < 0:
-        raise ValueError("size must be nonnegative")
+    check_search_args(n, gamma, size, budget)
     return _search(n, gamma, (size,), budget,
                    stop_on_first=False, progress=progress, size=size)

@@ -382,6 +382,92 @@ class TestSearchCommand:
         assert (doc["max_size"], doc["witnesses"]) == (12, ["G@rfF?"])
 
 
+class TestFilesWrittenInPlace:
+    """--witnesses and --out files are written over and cut to length, never
+    opened with O_TRUNC."""
+
+    def test_shorter_witness_list_shrinks_the_file(self, capsys, tmp_path):
+        target = str(tmp_path / "w.g6")
+        code, out, _ = run(capsys, ["search", "--n", "9", "--gamma", "2", "--size", "14",
+                                    "--witnesses", target, "--json"])
+        assert code == 0
+        assert len(Path(target).read_text().splitlines()) == 18
+        code, out, _ = run(capsys, ["search", "--n", "8", "--gamma", "2",
+                                    "--witnesses", target, "--json"])
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses) == 3
+        assert Path(target).read_text() == "".join(w + "\n" for w in witnesses)
+
+    def test_out_over_a_longer_file(self, capsys, tmp_path):
+        construct = ["construct", "--family", "fischermann", "--n", "9", "--gamma", "3"]
+        code, expected, _ = run(capsys, construct)
+        assert code == 0
+        target = tmp_path / "g.g6"
+        target.write_text("x" * 1000 + "\n" + expected * 5)
+        code, out, _ = run(capsys, construct + ["--out", str(target)])
+        assert (code, out) == (0, "")
+        assert target.read_text() == expected
+
+    def test_witnesses_to_dev_null(self, capsys):
+        code, out, err = run(capsys, ["search", "--n", "6", "--gamma", "2", "--size", "6",
+                                      "--witnesses", os.devnull, "--json"])
+        assert code == 0, err
+        assert json.loads(out)["count"] == 2
+
+    def test_failed_search_keeps_the_old_bytes(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "w.g6"
+        old = b"EDr?\nnot graph6 \xff\n"
+        target.write_bytes(old)
+
+        def fail(*args, **kwargs):
+            assert list(tmp_path.iterdir()) == [target]
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(cli, "count_extremal_witnesses", fail)
+        code, out, err = run(capsys, ["search", "--n", "6", "--gamma", "2", "--size", "6",
+                                      "--witnesses", str(target)])
+        assert (code, out, err) == (2, "", "error: search failed\n")
+        assert target.read_bytes() == old
+
+    def test_no_write_truncates_on_open(self, capsys, tmp_path, monkeypatch):
+        # every file the CLI writes is opened by os.open, without O_TRUNC, and
+        # the builtin open only wraps the descriptor it returns
+        opened, wrapped = [], []
+        real_os_open = os.open
+        monkeypatch.setattr(cli.os, "open",
+                            lambda path, flag, *a: opened.append((path, flag))
+                            or real_os_open(path, flag, *a))
+        monkeypatch.setattr(cli, "open", lambda file, *a, **k: wrapped.append(file)
+                            or open(file, *a, **k), raising=False)
+        w, g = tmp_path / "w.g6", tmp_path / "g.g6"
+        for path in (w, g):
+            path.write_text("x" * 100)
+        assert run(capsys, ["search", "--n", "6", "--gamma", "2", "--size", "6",
+                            "--witnesses", str(w)])[0] == 0
+        assert run(capsys, ["construct", "--family", "bipartite", "--n", "6",
+                            "--gamma", "2", "--out", str(g)])[0] == 0
+        flags = [f for path, f in opened if path in (str(w), str(g))]
+        assert len(flags) == 2
+        assert all(f & os.O_WRONLY and not f & os.O_TRUNC for f in flags)
+        assert len(wrapped) == 2 and all(isinstance(f, int) for f in wrapped)
+        assert w.read_text() == "ECr_\nEDr?\n"
+        assert parse_graph6(g.read_text().strip()).size() == 6
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "13", "--gamma", "3"], "order must be between 1 and 12"),
+        (["--n", "6", "--gamma", "2", "--budget", "-1"],
+         "budget must be a nonnegative number of seconds, got -1.0"),
+        (["--n", "6", "--gamma", "2", "--size", "-1"], "size must be nonnegative"),
+        (["--n", "6", "--gamma", "1"], "search requires gamma >= 2"),
+    ])
+    def test_usage_error_leaves_no_file(self, capsys, tmp_path, args, message):
+        code, out, err = run(capsys, ["search", *args,
+                                      "--witnesses", str(tmp_path / "w.g6")])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--n", "10", "--gamma", "3", "--tsv"],
     ["search", "--n", "6", "--gamma", "2", "--threads", "2"],
