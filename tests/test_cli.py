@@ -388,8 +388,8 @@ class TestFilesWrittenInPlace:
 
     def test_shorter_witness_list_shrinks_the_file(self, capsys, tmp_path):
         target = str(tmp_path / "w.g6")
-        code, out, _ = run(capsys, ["search", "--n", "9", "--gamma", "2", "--size", "14",
-                                    "--witnesses", target, "--json"])
+        code, _, _ = run(capsys, ["search", "--n", "9", "--gamma", "2", "--size", "14",
+                                  "--witnesses", target, "--json"])
         assert code == 0
         assert len(Path(target).read_text().splitlines()) == 18
         code, out, _ = run(capsys, ["search", "--n", "8", "--gamma", "2",
