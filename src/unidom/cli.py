@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -60,30 +60,43 @@ def _exact_to_json(value):
 
 
 def _open_out(path: str):
-    """Open ``path`` unbuffered for writing, creating it if missing but not
-    truncating it.
+    """Open ``path`` for writing, creating it if missing but not truncating
+    it: the file keeps its content until ``_write_in_place`` writes over it.
 
-    On ext4, truncating a file that holds data to length zero (``O_TRUNC``)
-    costs an order of magnitude more than writing over the old bytes and
-    cutting the file at the new length, which ``_write_in_place`` does; and
-    a file opened early keeps its content until then."""
+    On ext4, ``O_TRUNC`` on a file that holds data frees its blocks in the
+    open and sets the replace-via-truncate heuristic (``auto_da_alloc``), so
+    that the close starts writeback of the new data; an existing empty file
+    still gets the heuristic.  Skipping both is where the in-place write
+    saves its time.  The writeback at close was a crash guard: without it,
+    and with no fsync, a crash before the kernel writes the file back may
+    leave it at its new length holding old bytes, or old and new mixed,
+    where the truncating write left the new text or an empty file."""
     try:
-        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0)
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_in_place(out, path: str, text: str) -> None:
-    """Write ``text`` from the start of ``out``, cut a regular file at its
-    end, and close it; ``/dev/null`` and pipes cannot be truncated."""
-    data = memoryview(text.encode())
+    """Write ``text`` from the start of ``out`` and cut a regular file at
+    its end; ``/dev/null`` and pipes cannot be truncated.
+
+    A write that fails leaves a prefix of ``text`` and none of the old
+    bytes: the file is cut where the writing stopped, as far as it still
+    can be."""
     try:
-        while data:  # a raw write may take only part of the bytes
-            data = data[out.write(data):]
+        out.write(text)
+        out.flush()
         if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
             out.truncate()
-        out.close()
     except OSError as exc:
+        fd = out.fileno()
+        with suppress(OSError):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        # closed here, so that the caller's close does not retry the
+        # buffered rest and raise past this error
+        with suppress(OSError):
+            out.close()
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 

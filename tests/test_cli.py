@@ -454,6 +454,33 @@ class TestFilesWrittenInPlace:
         assert w.read_text() == "ECr_\nEDr?\n"
         assert parse_graph6(g.read_text().strip()).size() == 6
 
+    def test_failed_write_leaves_only_a_prefix(self, capsys, tmp_path, monkeypatch):
+        # the raw file takes 10 bytes and then fails, as on a full disk
+        class FullAfter10(io.FileIO):
+            def write(self, data):
+                room = 10 - self.tell()
+                if room <= 0:
+                    raise OSError(28, "No space left on device")
+                return super().write(bytes(data)[:room])
+
+        monkeypatch.setattr(cli, "open", lambda fd, mode: io.TextIOWrapper(
+            io.BufferedWriter(FullAfter10(fd, "w"))), raising=False)
+        target = tmp_path / "w.g6"
+        target.write_text("x" * 1000 + "\n")
+        code, out, err = run(capsys, ["search", "--n", "8", "--gamma", "2",
+                                      "--witnesses", str(target), "--json"])
+        assert code == 2
+        assert err == f"error: cannot write {target}: [Errno 28] No space left on device\n"
+        text = "".join(w + "\n" for w in json.loads(out)["witnesses"])
+        assert target.read_text() == text[:10]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_to_a_full_device(self, capsys):
+        code, _, err = run(capsys, ["construct", "--family", "bipartite", "--n", "6",
+                                    "--gamma", "2", "--out", "/dev/full"])
+        assert code == 2
+        assert err.startswith("error: cannot write /dev/full: [Errno 28]")
+
     @pytest.mark.parametrize("args, message", [
         (["--n", "13", "--gamma", "3"], "order must be between 1 and 12"),
         (["--n", "6", "--gamma", "2", "--budget", "-1"],
