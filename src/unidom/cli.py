@@ -324,13 +324,17 @@ def cmd_iso(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``unidom`` command (``main`` reuses one of its own)."""
+    """A new parser for the ``unidom`` command (``main`` reuses one of its own).
+
+    Its ``commands`` attribute maps each command name to the command's own
+    parser, the choices of the subparsers action."""
     parser = argparse.ArgumentParser(
         prog="unidom",
         description="Extremal graphs with a unique minimum dominating set: "
                     "bounds, constructions, certification, exhaustive search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("bound", help="evaluate the size bounds for (n, gamma)")
     p.add_argument("--n", type=int, required=True)
@@ -397,9 +401,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the ``unidom`` parser, with one pass over ``argv``.
+
+    A command line that opens with a command name goes to that command's
+    parser alone: the top-level parser would classify every argument and
+    then hand all of them to the subparser, which parses them again.  Its
+    leftovers are reported through the top-level parser, as the subparsers
+    action does.  Any other command line is the top-level parser's."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK

@@ -68,41 +68,40 @@ def _bipartite_parts(n: int, gamma: int):
     return xs, ys, bs, as_, cs, rs
 
 
-def _bipartite_edge_groups(n: int, gamma: int) -> dict[str, list[tuple[int, int]]]:
-    """Edge recipe for the bipartite family, one list per stage."""
-    xs, ys, bs, as_, cs, rs = _bipartite_parts(n, gamma)
+def _join(rows: list[int], left, right) -> None:
+    """Add every edge between the disjoint vertex sequences ``left`` and
+    ``right``: each row on one side gains the other side's mask."""
+    left_mask = mask_of(left)
+    right_mask = mask_of(right)
+    for v in left:
+        rows[v] |= right_mask
+    for v in right:
+        rows[v] |= left_mask
+
+
+def _bipartite_rows(n: int, parts) -> list[int]:
+    """Adjacency rows of the bipartite family on the ``_bipartite_parts``
+    layout, joined stage by stage."""
+    xs, ys, bs, as_, cs, rs = parts
     ally = [a for pair in as_ for a in pair]
-    x1 = xs[0]
-    y1 = ys[0]
-
-    skeleton = []
-    for x, (b1, b2) in zip(xs, bs):
-        skeleton += [(x, b1), (x, b2)]
-    for y, (a1, a2) in zip(ys, as_):
-        skeleton += [(y, a1), (y, a2)]
-
-    # one chosen neighbor of each x becomes adjacent to all of Y
-    hub = [(b1, a) for (b1, _) in bs for a in ally]
-
-    c_block = []
-    for c in cs:
-        c_block.append((x1, c))
-        c_block += [(c, a) for a in ally]
-
-    tail = []
+    x1_side = [b1 for (b1, _) in bs]
     r_prime = rs[0::2]
     r_dprime = rs[1::2]
-    x1_side = [b1 for (b1, _) in bs]
-    for r in r_prime:
-        tail += [(r, c) for c in cs]
-        tail += [(r, b) for b in x1_side]
-        tail.append((r, y1))
-    for r in r_dprime:
-        tail += [(r, a) for a in ally]
-        tail.append((r, x1))
-    tail += [(rp, rd) for rp in r_prime for rd in r_dprime]
 
-    return {"skeleton": skeleton, "hub": hub, "c_block": c_block, "tail": tail}
+    rows = [0] * n
+    # skeleton: each dominator with its two private neighbors
+    for d, pair in zip(xs + ys, bs + as_):
+        _join(rows, (d,), pair)
+    # hub: one chosen neighbor of each x becomes adjacent to all of Y
+    _join(rows, x1_side, ally)
+    # C-block: each c meets x_1 and all of Y
+    _join(rows, cs, [xs[0], *ally])
+    # tail: R' meets C, the hub vertices and y_1; R'' meets Y and x_1; and
+    # every R' meets every R''
+    _join(rows, r_prime, [*cs, *x1_side, ys[0]])
+    _join(rows, r_dprime, [*ally, xs[0]])
+    _join(rows, r_prime, r_dprime)
+    return rows
 
 
 def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
@@ -113,11 +112,10 @@ def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
         raise ValueError("family requires gamma >= 2 (see construct_star)")
     if n < 3 * gamma:
         raise ValueError("family requires n >= 3*gamma")
-    groups = _bipartite_edge_groups(n, gamma)
-    edges = [e for group in groups.values() for e in group]
-    g = from_edge_list(n, edges)
+    parts = _bipartite_parts(n, gamma)
+    g = Graph(n, tuple(_bipartite_rows(n, parts)))
 
-    xs, ys, bs, as_, cs, rs = _bipartite_parts(n, gamma)
+    xs, ys, bs, as_, cs, rs = parts
     role_of: dict[int, str] = {}
     labels: dict[int, str] = {}
     for i, x in enumerate(xs, start=1):
@@ -166,15 +164,21 @@ def construct_fischermann(n: int, gamma: int) -> tuple[Graph, ConstructionLayout
     bs = list(range(2 * gamma, 3 * gamma))
     rs = list(range(3 * gamma, n))
 
-    edges: list[tuple[int, int]] = []
-    for i in range(gamma):
-        edges += [(as_[i], xs[i]), (bs[i], xs[i])]
-    edges += [(xs[0], r) for r in rs]
-    edges += [(bs[i], as_[j]) for i in range(1, gamma) for j in range(i)]
-    edges += [(bs[i], r) for i in range(1, gamma) for r in rs]
+    rows = [0] * n
+    for x, a, b in zip(xs, as_, bs):
+        _join(rows, (x,), (a, b))
+    _join(rows, xs[:1], rs)
+    # b_i meets a_j for every j < i: a staircase below the diagonal, whose
+    # rows are runs of the contiguous blocks A and B
+    for i in range(1, gamma):
+        rows[bs[i]] |= (1 << as_[i]) - (1 << as_[0])
+        rows[as_[i - 1]] |= (1 << (bs[-1] + 1)) - (1 << bs[i])
+    _join(rows, bs[1:], rs)
     clique = as_ + rs
-    edges += [(clique[i], clique[j]) for i in range(len(clique)) for j in range(i)]
-    g = from_edge_list(n, edges)
+    clique_mask = mask_of(clique)
+    for v in clique:
+        rows[v] |= clique_mask ^ (1 << v)
+    g = Graph(n, tuple(rows))
 
     role_of: dict[int, str] = {}
     labels: dict[int, str] = {}
@@ -284,22 +288,27 @@ def verify_construction(g: Graph, layout: ConstructionLayout,
         match, bit_list(intended), [bit_list(s) for s in report.min_sets]
     )
 
+    if match:
+        # is_umd read these off its unique set, which is the intended one
+        disjoint = report.perfectly_dominated
+        epn_counts = {v: m.bit_count() for v, m in report.epn_by_dominator.items()}
+        epn_ok = report.epn_condition_met
+    else:
+        disjoint = closed_neighborhoods_disjoint(g, intended)
+        if dominates:
+            epn_counts = {
+                v: exterior_private_neighbors(g, v, intended).bit_count()
+                for v in bit_list(intended)
+            }
+            epn_ok = all(c >= 2 for c in epn_counts.values())
+        else:
+            epn_counts = {}
+            epn_ok = False
     # a minimum dominating set is perfect exactly when its closed
     # neighborhoods are pairwise disjoint
-    disjoint = closed_neighborhoods_disjoint(g, intended)
     perfect = dominates and gamma == want_gamma and disjoint
     checks["perfectly_dominated"] = CheckResult(perfect, True, perfect)
     checks["closed_neighborhoods_disjoint"] = CheckResult(disjoint, True, disjoint)
-
-    if dominates:
-        epn_counts = {
-            v: exterior_private_neighbors(g, v, intended).bit_count()
-            for v in bit_list(intended)
-        }
-        epn_ok = all(c >= 2 for c in epn_counts.values())
-    else:
-        epn_counts = {}
-        epn_ok = False
     checks["epn_at_least_two_per_dominator"] = CheckResult(
         epn_ok, ">=2 each", {str(v): c for v, c in epn_counts.items()}
     )

@@ -156,6 +156,119 @@ def verify_forest_lemma(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the extremal families as edge lists: the builders' first recipes, kept as
+# the reference that the row-joining builders must reproduce
+
+
+def reference_bipartite_parts(n: int, gamma: int):
+    """The bipartite family's vertex numbering: x's, y's, the b pairs, the
+    a pairs, then c_1.. and r_1.. in order."""
+    dx = gamma // 2
+    dy = gamma - dx
+    c_count = min(n - 3 * gamma, 2 * dy - dx + 1)
+    xs = list(range(dx))
+    ys = list(range(dx, gamma))
+    bs = [(gamma + 2 * i, gamma + 2 * i + 1) for i in range(dx)]
+    a0 = gamma + 2 * dx
+    as_ = [(a0 + 2 * j, a0 + 2 * j + 1) for j in range(dy)]
+    cs = list(range(3 * gamma, 3 * gamma + c_count))
+    rs = list(range(3 * gamma + c_count, n))
+    return xs, ys, bs, as_, cs, rs
+
+
+def reference_bipartite_edge_groups(n: int, gamma: int) -> dict[str, list[tuple[int, int]]]:
+    """Edge recipe for the bipartite family, one list per stage."""
+    xs, ys, bs, as_, cs, rs = reference_bipartite_parts(n, gamma)
+    ally = [a for pair in as_ for a in pair]
+    x1 = xs[0]
+    y1 = ys[0]
+
+    skeleton = []
+    for x, (b1, b2) in zip(xs, bs):
+        skeleton += [(x, b1), (x, b2)]
+    for y, (a1, a2) in zip(ys, as_):
+        skeleton += [(y, a1), (y, a2)]
+
+    # one chosen neighbor of each x becomes adjacent to all of Y
+    hub = [(b1, a) for (b1, _) in bs for a in ally]
+
+    c_block = []
+    for c in cs:
+        c_block.append((x1, c))
+        c_block += [(c, a) for a in ally]
+
+    tail = []
+    r_prime = rs[0::2]
+    r_dprime = rs[1::2]
+    x1_side = [b1 for (b1, _) in bs]
+    for r in r_prime:
+        tail += [(r, c) for c in cs]
+        tail += [(r, b) for b in x1_side]
+        tail.append((r, y1))
+    for r in r_dprime:
+        tail += [(r, a) for a in ally]
+        tail.append((r, x1))
+    tail += [(rp, rd) for rp in r_prime for rd in r_dprime]
+
+    return {"skeleton": skeleton, "hub": hub, "c_block": c_block, "tail": tail}
+
+
+def reference_bipartite_layout(n: int, gamma: int):
+    """(role_of, labels, intended dominators, side A) of the bipartite family."""
+    xs, ys, bs, as_, cs, rs = reference_bipartite_parts(n, gamma)
+    role_of, labels = {}, {}
+    for i, x in enumerate(xs, start=1):
+        role_of[x], labels[x] = "D_X", f"x{i}"
+    for j, y in enumerate(ys, start=1):
+        role_of[y], labels[y] = "D_Y", f"y{j}"
+    for i, (b1, b2) in enumerate(bs, start=1):
+        role_of[b1], labels[b1] = "X1", f"b{i},1"
+        role_of[b2], labels[b2] = "X2", f"b{i},2"
+    for j, (a1, a2) in enumerate(as_, start=1):
+        role_of[a1], labels[a1] = "Y", f"a{j},1"
+        role_of[a2], labels[a2] = "Y", f"a{j},2"
+    for k, c in enumerate(cs, start=1):
+        role_of[c], labels[c] = "C", f"c{k}"
+    for i, r in enumerate(rs, start=1):
+        role_of[r], labels[r] = ("R_prime" if i % 2 == 1 else "R_dprime"), f"r{i}"
+    side_a = mask_of(xs) | mask_of(a for pair in as_ for a in pair) | mask_of(rs[0::2])
+    return role_of, labels, mask_of(xs + ys), side_a
+
+
+def reference_fischermann_edges(n: int, gamma: int) -> list[tuple[int, int]]:
+    """Edge list of the Fischermann family: x_i, a_i, b_i, then r_1.."""
+    xs = list(range(gamma))
+    as_ = list(range(gamma, 2 * gamma))
+    bs = list(range(2 * gamma, 3 * gamma))
+    rs = list(range(3 * gamma, n))
+    edges = []
+    for i in range(gamma):
+        edges += [(as_[i], xs[i]), (bs[i], xs[i])]
+    edges += [(xs[0], r) for r in rs]
+    edges += [(bs[i], as_[j]) for i in range(1, gamma) for j in range(i)]
+    edges += [(bs[i], r) for i in range(1, gamma) for r in rs]
+    clique = as_ + rs
+    edges += [(clique[i], clique[j]) for i in range(len(clique)) for j in range(i)]
+    return edges
+
+
+def reference_fischermann_layout(n: int, gamma: int):
+    """(role_of, labels, intended dominators) of the Fischermann family."""
+    role_of, labels = {}, {}
+    for role, name, first in (("D", "x", 0), ("A", "a", gamma), ("B", "b", 2 * gamma)):
+        for i in range(gamma):
+            role_of[first + i], labels[first + i] = role, f"{name}{i + 1}"
+    for k, r in enumerate(range(3 * gamma, n), start=1):
+        role_of[r], labels[r] = "R", f"r{k}"
+    return role_of, labels, (1 << gamma) - 1
+
+
+# the certificate grid: both families, 2 <= gamma <= 21, 3*gamma <= n <= min(3*gamma + 10, 64)
+FAMILY_GRID = [(n, gamma) for gamma in range(2, 22)
+               for n in range(3 * gamma, min(3 * gamma + 10, 64) + 1)]
+
+
+# ---------------------------------------------------------------------------
 # reference extremal graph on ten vertices (hand-entered edge list)
 
 REFERENCE_10_3_NAMES = ["x1", "y1", "y2", "b11", "b12", "a11", "a12", "a21", "a22", "c1"]

@@ -22,6 +22,7 @@ from unidom.bounds import gamma2_m2_strict
 from unidom.search import _scan_block
 
 from conftest import tau
+from test_search import _graph, _unreduced_scan
 
 try:
     import networkx as nx
@@ -306,6 +307,25 @@ class TestGamma2CaseBounds:
         cb = gamma2_case_bounds(n)
         assert cb.m1 == same and cb.m3 == opposite
         assert gamma2_m2_strict(n) == adjacent
+
+    @pytest.mark.parametrize("n, same, adjacent, opposite", [
+        (6, 4, 6, 6),
+        (7, 6, 8, 9),
+        (8, 8, 12, 12),
+    ])
+    def test_case_maxima_in_the_unreduced_scan(self, n, same, adjacent, opposite):
+        # the same maxima from every labeled cross-edge matrix, with no
+        # symmetry breaking and no prefix cut
+        maxima = {}
+        for s, (_, witnesses) in sorted(_unreduced_scan(n, 2).items(), reverse=True):
+            for k, rows in witnesses:
+                g = _graph(n, k, rows)
+                report = is_umd(g)
+                assert report.unique and report.gamma == 2
+                for placement in _placements(g, report.min_sets[0]):
+                    maxima.setdefault(placement, s)
+        assert maxima == {"same side": same, "adjacent": adjacent,
+                          "opposite, non-adjacent": opposite}
 
     def test_strict_variant_at_most_dropped_form(self):
         for n in range(6, 200):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -581,6 +582,122 @@ class TestParserReuse:
         assert len(built) == 1
         assert real() is not real()
         assert real() is not cli._parser()
+
+
+def _reference_main(argv):
+    """main as a plain argparse dispatch: a new parser parses the whole
+    command line (the top-level parser, then the subcommand's parser, as the
+    subparsers action does), then the command runs.  Returns (exit code,
+    vars of the namespace or None)."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return (cli.EXIT_USAGE if exc.code not in (0,) else cli.EXIT_OK), None
+    try:
+        return args.func(args), vars(args)
+    except (cli.CliError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE, vars(args)
+
+
+_ELAPSED = re.compile(r'("elapsed": |elapsed\t)[-+.0-9e]+')
+
+_C = ["construct", "--family", "bipartite", "--n", "6", "--gamma", "2"]
+
+# Every line runs in order in one directory per side, so that a file written
+# by one line (g.g6, w.g6) is read by a later one.
+DISPATCH_CORPUS = [
+    # perfbench-style lines
+    ["construct", "--family", "bipartite", "--n", "13", "--gamma", "4", "--verify"],
+    ["construct", "--family", "fischermann", "--n", "12", "--gamma", "3", "--verify"],
+    _C + ["--verify", "--out", "g.g6"],
+    _C + ["--format", "dot"],
+    ["search", "--n", "6", "--gamma", "2", "--json"],
+    ["search", "--n", "7", "--gamma", "2", "--size", "8", "--witnesses", "w.g6", "--json"],
+    ["search", "--n", "6", "--gamma", "2", "--progress"],
+    ["verify", "--in", "g.g6", "--json"],
+    ["verify", "--in", "g.g6", "--expect-gamma", "2", "--expect-size", "5"],
+    ["bound", "--n", "6", "--gamma", "2", "--n-to", "8", "--json"],
+    ["bound", "--n", "10", "--gamma", "3"],
+    ["iso", "g.g6", "g.g6", "--json"],
+    ["complement", "--in", "g.g6"],
+    # help and no command
+    [], ["-h"], ["--help"], ["--he"],
+    *([command, "-h"] for command in
+      ("bound", "construct", "verify", "search", "complement", "iso")),
+    ["construct", "--help"], ["construct", "--family", "star", "-h", "--n", "x"],
+    # unknown commands, leading options, missing and bad values
+    ["frobnicate"], ["frobnicate", "--n", "6"], ["Construct"], ["--bogus", "bound"],
+    ["-h", "bound"], ["--", "bound", "--n", "6", "--gamma", "2"],
+    ["construct", "--n", "6"], ["construct"], ["verify"], ["iso", "g.g6"],
+    ["bound", "--n", "six", "--gamma", "2"], ["bound", "--n", "6", "--gamma"],
+    ["construct", "--family", "nope", "--n", "6", "--gamma", "2"],
+    ["construct", "--family", "bipartite", "--n", "6", "--gamma", "2", "--format", "png"],
+    ["bound", "--n", "5", "--gamma", "2"], ["search", "--n", "6", "--gamma", "2",
+                                            "--budget", "-1"],
+    # abbreviations, --opt=value and --
+    ["construct", "--fam", "bipartite", "--n", "6", "--gam", "2", "--ver"],
+    ["construct", "--f", "bipartite", "--n", "6", "--gamma", "2"],
+    ["search", "--n=6", "--gamma=2", "--js"],
+    ["bound", "--n=6", "--gamma", "2", "--n-t=7"],
+    ["iso", "--", "g.g6", "g.g6"], ["iso", "--json", "--", "g.g6", "g.g6"],
+    ["construct", "--family", "bipartite", "--", "--n", "6", "--gamma", "2"],
+    ["bound", "--n", "6", "--gamma", "2", "--", "--json"],
+    # unrecognized extras before, between and after options
+    ["construct", "--bogus", "--family", "bipartite", "--n", "6", "--gamma", "2"],
+    ["construct", "--family", "bipartite", "--bogus", "--n", "6", "--gamma", "2"],
+    _C + ["--bogus"], _C + ["--bogus", "1", "extra"],
+    ["construct", "extra", "--family", "bipartite", "--n", "6", "--gamma", "2"],
+    ["search", "--n", "6", "--threads", "2", "--gamma", "2", "--json"],
+    ["bound", "--n", "6", "--gamma", "2", "7"], ["bound", "-x", "--n", "6", "--gamma", "2"],
+    ["bound", "--n", "6", "--gamma", "2", "--json=1"],
+    ["iso", "g.g6", "g.g6", "g.g6"], ["construct", "--n", "6", "--bogus"],
+]
+
+
+class TestDispatchMatchesArgparse:
+    """main hands a named command straight to its own parser; everything it
+    prints, writes and parses must be what the plain two-level parse gives."""
+
+    def _side(self, capsys, run_one, argv, directory):
+        code, namespace = run_one(argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        return code, _ELAPSED.sub(r"\g<1>0", captured.out), captured.err, files, namespace
+
+    def test_corpus(self, capsys, monkeypatch, tmp_path):
+        parsed = []
+        real_parse = cli._parse
+        monkeypatch.setattr(cli, "_parse",
+                            lambda argv: parsed.append(real_parse(argv)) or parsed[-1])
+
+        def via_main(argv):
+            parsed.clear()
+            code = main(list(argv))
+            return code, vars(parsed[0]) if parsed else None
+
+        dirs = {name: tmp_path / name for name in ("main", "reference")}
+        for d in dirs.values():
+            d.mkdir()
+        codes = set()
+        for argv in DISPATCH_CORPUS:
+            monkeypatch.chdir(dirs["main"])
+            got = self._side(capsys, via_main, argv, dirs["main"])
+            monkeypatch.chdir(dirs["reference"])
+            want = self._side(capsys, _reference_main, argv, dirs["reference"])
+            assert got == want, argv
+            codes.add(got[0])
+        # the corpus reaches exit codes 0, 1 and 2 and both file writers
+        assert codes == {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE}
+        assert set(os.listdir(dirs["main"])) == {"g.g6", "w.g6"}
+
+    def test_cache_clear_gives_a_new_command_map(self):
+        first = cli._parser()
+        cli._parser.cache_clear()
+        second = cli._parser()
+        assert second is not first and second.commands is not first.commands
+        assert set(second.commands) == {"bound", "construct", "verify", "search",
+                                        "complement", "iso"}
 
 
 def _unidom_process(*args):

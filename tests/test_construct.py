@@ -1,8 +1,10 @@
 import time
+from itertools import combinations
 
 import pytest
 
 from unidom import (
+    Bipartition,
     are_isomorphic,
     bipartite_bound,
     check_epn_condition,
@@ -14,17 +16,23 @@ from unidom import (
     fischermann_bound,
     from_edge_list,
     is_umd,
+    iter_bits,
     mask_of,
     phi,
     star_bound,
     verify_construction,
 )
-from unidom.construct import _bipartite_edge_groups
+from unidom.construct import ConstructionLayout
 
 from conftest import (
+    FAMILY_GRID,
     assert_unique_domination_theory,
     perfect_by_degree_sum,
     perfect_by_structure,
+    reference_bipartite_edge_groups,
+    reference_bipartite_layout,
+    reference_fischermann_edges,
+    reference_fischermann_layout,
 )
 
 
@@ -71,7 +79,7 @@ class TestBipartiteFamily:
         # the first edge stage alone must form gamma disjoint 3-vertex paths
         for gamma in range(2, 7):
             n = 3 * gamma
-            groups = _bipartite_edge_groups(n, gamma)
+            groups = reference_bipartite_edge_groups(n, gamma)
             skel = from_edge_list(n, groups["skeleton"])
             assert skel.size() == 2 * gamma
             degs = degree_sequence(skel)
@@ -104,6 +112,25 @@ class TestBipartiteFamily:
                 assert roles.count("Y") == 2 * ((gamma + 1) // 2)
                 assert roles.count("R_prime") + roles.count("R_dprime") == phi(n, gamma)
                 assert layout.intended_dominators.bit_count() == gamma
+
+
+@pytest.mark.parametrize("n, gamma", FAMILY_GRID)
+def test_rows_match_the_edge_list_recipes(n, gamma):
+    # the builders join vertex-set masks; the reference lists every edge
+    g, layout = construct_bipartite(n, gamma)
+    groups = reference_bipartite_edge_groups(n, gamma)
+    assert g == from_edge_list(n, [e for group in groups.values() for e in group])
+    role_of, labels, intended, side_a = reference_bipartite_layout(n, gamma)
+    assert (layout.role_of, layout.labels) == (role_of, labels)
+    assert layout.intended_dominators == intended
+    assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
+
+    g, layout = construct_fischermann(n, gamma)
+    assert g == from_edge_list(n, reference_fischermann_edges(n, gamma))
+    role_of, labels, intended = reference_fischermann_layout(n, gamma)
+    assert (layout.role_of, layout.labels) == (role_of, labels)
+    assert layout.intended_dominators == intended
+    assert layout.partition is None
 
 
 class TestFischermannFamily:
@@ -207,8 +234,6 @@ class TestVerifyConstruction:
 
     def test_wrong_dominators_fail(self):
         g, layout = construct_bipartite(6, 2)
-        from unidom.construct import ConstructionLayout
-
         bogus = ConstructionLayout(
             role_of=layout.role_of,
             labels=layout.labels,
@@ -289,6 +314,91 @@ class TestVerifyConstruction:
         assert doc["kind"] == "certificate"
         assert doc["passed"] is True
         assert doc["checks"]["size"]["passed"] is True
+
+
+def recomputed_set_checks(g, s, gamma):
+    """The certificate's entries that depend on the intended set ``s``,
+    recomputed from the definitions: domination, perfection, pairwise
+    disjoint closed neighborhoods and the exterior private neighbor counts."""
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    members = list(iter_bits(s))
+    dominates = all(any((closed[v] >> u) & 1 for v in members) for u in range(g.n))
+    disjoint = all(not closed[u] & closed[v] for u, v in combinations(members, 2))
+    epn = {}
+    if dominates:
+        epn = {str(v): sum(1 for u in range(g.n) if not (s >> u) & 1 and g.adj[u] & s == 1 << v)
+               for v in members}
+    epn_ok = dominates and all(c >= 2 for c in epn.values())
+    perfect = dominates and gamma == len(members) and disjoint
+
+    def entry(passed, expected, actual):
+        return {"passed": passed, "expected": expected, "actual": actual}
+
+    return {
+        "intended_set_dominates": entry(dominates, True, dominates),
+        "perfectly_dominated": entry(perfect, True, perfect),
+        "closed_neighborhoods_disjoint": entry(disjoint, True, disjoint),
+        "epn_at_least_two_per_dominator": entry(epn_ok, ">=2 each", epn),
+    }
+
+
+def _wrong_sets(g, d):
+    """The set ``d`` with its last dominator dropped, with its first one
+    swapped for that one's lowest neighbor, and with the lowest outside
+    vertex added: none is the unique minimum set, the last one dominates."""
+    first, last = min(iter_bits(d)), max(iter_bits(d))
+    neighbor = g.adj[first] & -g.adj[first]
+    outside = g.full_mask & ~d
+    return {
+        "dropped": d & ~(1 << last),
+        "swapped": (d & ~(1 << first)) | neighbor,
+        "added": d | (outside & -outside),
+    }
+
+
+@pytest.mark.parametrize("builder, bound", [
+    (construct_bipartite, bipartite_bound),
+    (construct_fischermann, fischermann_bound),
+], ids=["bipartite", "fischermann"])
+def test_set_checks_match_recomputation(builder, bound):
+    # the intended set reads these off the one solve, the wrong sets
+    # compute them afresh; both must agree with the definitions
+    for n, gamma in FAMILY_GRID:
+        g, layout = builder(n, gamma)
+        d = layout.intended_dominators
+        doc = verify_construction(g, layout, bound(n, gamma)).to_json()
+        assert doc["passed"], (n, gamma)
+        checks = doc["checks"]
+        assert {k: checks[k] for k in recomputed_set_checks(g, d, gamma)} == \
+            recomputed_set_checks(g, d, gamma)
+        for kind, s in _wrong_sets(g, d).items():
+            bogus = ConstructionLayout(layout.role_of, layout.labels, s, layout.partition)
+            wrong = verify_construction(g, bogus, bound(n, gamma)).to_json()["checks"]
+            want = recomputed_set_checks(g, s, gamma)
+            assert {k: wrong[k] for k in want} == want, (n, gamma, kind)
+            assert wrong["minimum_set_is_intended"]["passed"] is False
+            assert wrong["intended_set_dominates"]["passed"] is (kind == "added")
+            # the entries that do not depend on the intended set are unchanged
+            for name in ("size", "no_isolated_vertices",
+                         "unique_minimum_dominating_set", "bipartite"):
+                assert wrong.get(name) == checks.get(name), (n, gamma, kind, name)
+            assert wrong["gamma"]["actual"] == gamma
+
+
+def test_set_checks_when_the_unique_set_is_not_perfect():
+    # both families are perfectly dominated, so their intended sets never
+    # show the one-solve entries on a set whose closed neighborhoods meet:
+    # a double star, centers 0 and 1 adjacent, each with two leaves
+    g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    layout = ConstructionLayout({}, {}, mask_of([0, 1]))
+    cert = verify_construction(g, layout, 5)
+    assert cert.checks["minimum_set_is_intended"].passed
+    checks = cert.to_json()["checks"]
+    want = recomputed_set_checks(g, mask_of([0, 1]), 2)
+    assert {k: checks[k] for k in want} == want
+    assert want["closed_neighborhoods_disjoint"]["actual"] is False
+    assert want["epn_at_least_two_per_dominator"]["actual"] == {"0": 2, "1": 2}
+    assert cert.failures() == ["perfectly_dominated", "closed_neighborhoods_disjoint"]
 
 
 class TestTheoryPropertiesOnFamilies:
