@@ -1,13 +1,11 @@
 """Closed-form size bounds for graphs with a unique minimum dominating set.
 
-Everything here is exact: integers throughout, with rationals where a
-formula genuinely produces one (the adjacent-dominators case bound for
-gamma = 2, and Vizing's bound at odd n - gamma).
+Everything here is exact: integers throughout, with a rational only where
+a formula genuinely produces one (Vizing's bound at odd n - gamma).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -57,15 +55,6 @@ def bipartite_bound(n: int, gamma: int) -> int:
     return base + middle + tail
 
 
-def bipartite_bound_gamma2(n: int) -> int:
-    """Closed form of the bipartite bound at gamma = 2, split by parity."""
-    if n < 6:
-        raise ValueError("closed form requires n >= 6")
-    if n % 2 == 0:
-        return n * (n - 2) // 4
-    return (n - 1) ** 2 // 4
-
-
 def star_bound(n: int) -> int:
     """Maximum size at gamma = 1: the star K_{1,n-1} with n - 1 edges."""
     if n < 3:
@@ -96,56 +85,12 @@ def vizing_bound(n: int, gamma: int):
 
     Returned exactly: an int when the product is even, otherwise a Fraction
     (the classical statement carries no floor, and none is guessed here).
+    No graph has fewer vertices than its domination number, so n < gamma
+    is rejected; n = gamma gives 0, the edgeless graph.
     """
     if gamma < 2:
         raise ValueError("requires gamma >= 2")
+    if n < gamma:
+        raise ValueError("requires n >= gamma")
     num = (n - gamma) * (n - gamma + 2)
     return num // 2 if num % 2 == 0 else Fraction(num, 2)
-
-
-def min_forest_edges(n: int) -> int:
-    """Minimum size of an order-n graph with no isolated vertex and no
-    two-vertex component: ceil(2n/3)."""
-    if n < 3:
-        raise ValueError("requires n >= 3")
-    return -(-2 * n // 3)
-
-
-@dataclass(frozen=True)
-class Gamma2CaseBounds:
-    """The three case bounds for gamma = 2, by dominator placement:
-    same side (m1), adjacent (m2), opposite sides non-adjacent (m3)."""
-
-    m1: int
-    m2: Fraction
-    m3: int
-
-
-def gamma2_case_bounds(n: int) -> Gamma2CaseBounds:
-    """Evaluate all three gamma = 2 case bounds; m3 equals the full bound."""
-    if n < 6:
-        raise ValueError("requires n >= 6")
-    m1 = 2 * (n - 2) - 4
-    if n % 2 == 0:
-        m2 = Fraction(3 * n * n - 6 * n - (2 * n - 8), 12)
-    else:
-        m2 = Fraction(3 * n * n - 6 * n + 3 - (2 * n - 2), 12)
-    m3 = n - 2 + ((n - 2) // 2) * ((n - 3) // 2)
-    return Gamma2CaseBounds(m1=m1, m2=m2, m3=m3)
-
-
-def gamma2_m2_strict(n: int) -> int:
-    """Adjacent-dominators case bound with the ceiling kept on the forest
-    term.
-
-    The default ``gamma2_case_bounds(n).m2`` lies 2/3 below this value with
-    the ceiling dropped, so below this one too, and it is not an upper
-    bound: an exhaustive scan of n = 6..11 found adjacent-dominator
-    witnesses above it at n = 6, 8, 9 and 11 (``G?ffF_``, n = 8, has 12
-    edges against 34/3).  The largest adjacent-dominator witness met this
-    value at every n = 6..11.
-    """
-    if n < 6:
-        raise ValueError("requires n >= 6")
-    product = ((n - 1) // 2) * ((n - 2) // 2)
-    return n - 1 + product - (-(-2 * (n - 2) // 3))

@@ -25,7 +25,6 @@ from .graph import (
     _check_vertex_count,
     bit_list,
     check_bipartition,
-    from_edge_list,
     mask_of,
 )
 
@@ -211,7 +210,9 @@ def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
         raise ValueError(f"a star with a unique dominator needs n >= 3, got n = {n}")
     if n == 2:
         raise ValueError("a two-vertex star has two minimum dominating sets")
-    g = from_edge_list(n, [(0, v) for v in range(1, n)])
+    # the centre 0 sees every leaf 1..n-1; each leaf sees only the centre
+    leaves = (1 << n) - 2
+    g = Graph(n, (leaves,) + (1,) * (n - 1))
     role_of = {0: "D"}
     labels = {0: "x1"}
     for v in range(1, n):
@@ -221,7 +222,7 @@ def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
         role_of=role_of,
         labels=labels,
         intended_dominators=1,
-        partition=Bipartition(1, g.full_mask & ~1),
+        partition=Bipartition(1, leaves),
     )
     return g, layout
 

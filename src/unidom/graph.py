@@ -165,11 +165,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def degree_sequence(g: Graph) -> list[int]:
-    """Vertex degrees sorted in non-increasing order."""
-    return sorted((g.degree(v) for v in range(g.n)), reverse=True)
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """Two-coloring witness: vertex masks ``a`` and ``b`` cover V disjointly."""

@@ -8,12 +8,14 @@ they check.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
 
-from unidom import Graph, from_edge_list, iter_bits, mask_of, min_forest_edges
+from unidom import Graph, from_edge_list, iter_bits, mask_of
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,8 @@ def assert_unique_domination_theory(g: Graph, gamma: int, dset: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# proof helpers that feed no claim of the package, checked here on their own
+# proof helpers and cross-check formulas that feed no command of the package,
+# checked here on their own
 
 
 def tau(n: int) -> int:
@@ -114,6 +117,73 @@ def tau(n: int) -> int:
     if n < 1:
         raise ValueError("requires n >= 1")
     return n // 2
+
+
+def degree_sequence(g: Graph) -> list[int]:
+    """Vertex degrees sorted in non-increasing order."""
+    return sorted((g.degree(v) for v in range(g.n)), reverse=True)
+
+
+def min_forest_edges(n: int) -> int:
+    """Minimum size of an order-n graph with no isolated vertex and no
+    two-vertex component: ceil(2n/3)."""
+    if n < 3:
+        raise ValueError("requires n >= 3")
+    return -(-2 * n // 3)
+
+
+def bipartite_bound_gamma2(n: int) -> int:
+    """Closed form of the bipartite bound at gamma = 2, split by parity."""
+    if n < 6:
+        raise ValueError("closed form requires n >= 6")
+    if n % 2 == 0:
+        return n * (n - 2) // 4
+    return (n - 1) ** 2 // 4
+
+
+@dataclass(frozen=True)
+class Gamma2CaseBounds:
+    """The three case bounds for gamma = 2, by dominator placement:
+    same side (m1), adjacent (m2), opposite sides non-adjacent (m3)."""
+
+    m1: int
+    m2: Fraction
+    m3: int
+
+
+def gamma2_case_bounds(n: int) -> Gamma2CaseBounds:
+    """Evaluate all three gamma = 2 case bounds; m3 equals the full bound.
+
+    m2 is the adjacent-dominators bound as transcribed, with the ceiling
+    dropped from its forest term, and it is not an upper bound: see
+    ``gamma2_m2_strict``.
+    """
+    if n < 6:
+        raise ValueError("requires n >= 6")
+    m1 = 2 * (n - 2) - 4
+    if n % 2 == 0:
+        m2 = Fraction(3 * n * n - 6 * n - (2 * n - 8), 12)
+    else:
+        m2 = Fraction(3 * n * n - 6 * n + 3 - (2 * n - 2), 12)
+    m3 = n - 2 + ((n - 2) // 2) * ((n - 3) // 2)
+    return Gamma2CaseBounds(m1=m1, m2=m2, m3=m3)
+
+
+def gamma2_m2_strict(n: int) -> int:
+    """Adjacent-dominators case bound with the ceiling kept on the forest
+    term.
+
+    The default ``gamma2_case_bounds(n).m2`` lies 2/3 below this value with
+    the ceiling dropped, so below this one too, and it is not an upper
+    bound: an exhaustive scan of n = 6..11 found adjacent-dominator
+    witnesses above it at n = 6, 8, 9 and 11 (``G?ffF_``, n = 8, has 12
+    edges against 34/3).  The largest adjacent-dominator witness met this
+    value at every n = 6..11.
+    """
+    if n < 6:
+        raise ValueError("requires n >= 6")
+    product = ((n - 1) // 2) * ((n - 2) // 2)
+    return n - 1 + product - (-(-2 * (n - 2) // 3))
 
 
 def _components_ok(n: int, edge_set: tuple[tuple[int, int], ...]) -> bool:
@@ -261,6 +331,18 @@ def reference_fischermann_layout(n: int, gamma: int):
     for k, r in enumerate(range(3 * gamma, n), start=1):
         role_of[r], labels[r] = "R", f"r{k}"
     return role_of, labels, (1 << gamma) - 1
+
+
+def reference_star_edges(n: int) -> list[tuple[int, int]]:
+    """Edge list of the star K_{1,n-1}: centre 0, leaves 1..n-1."""
+    return [(0, v) for v in range(1, n)]
+
+
+def reference_star_layout(n: int):
+    """(role_of, labels, intended dominators, side A) of the star."""
+    role_of = {0: "D", **{v: "A" for v in range(1, n)}}
+    labels = {0: "x1", **{v: f"a{v}" for v in range(1, n)}}
+    return role_of, labels, 1, 1
 
 
 # the certificate grid: both families, 2 <= gamma <= 21, 3*gamma <= n <= min(3*gamma + 10, 64)

@@ -15,17 +15,13 @@ import pytest
 from unidom import (
     are_isomorphic,
     bipartite_bound,
-    bipartite_bound_gamma2,
     construct_bipartite,
     construct_fischermann,
     count_extremal_witnesses,
-    degree_sequence,
     domination_number,
     fischermann_bound,
-    gamma2_case_bounds,
     is_umd,
     max_umd_bipartite_size,
-    min_forest_edges,
     n3g_bound,
     parse_graph6,
     verify_construction,
@@ -33,6 +29,10 @@ from unidom import (
 
 from conftest import (
     assert_unique_domination_theory,
+    bipartite_bound_gamma2,
+    degree_sequence,
+    gamma2_case_bounds,
+    min_forest_edges,
     naive_domination_number,
     random_graph,
     tau,

@@ -6,22 +6,24 @@ import pytest
 
 from unidom import (
     bipartite_bound,
-    bipartite_bound_gamma2,
     bit_list,
     find_bipartition,
     fischermann_bound,
-    gamma2_case_bounds,
     is_umd,
-    min_forest_edges,
     n3g_bound,
     phi,
     star_bound,
     vizing_bound,
 )
-from unidom.bounds import gamma2_m2_strict
 from unidom.search import _scan_block
 
-from conftest import tau
+from conftest import (
+    bipartite_bound_gamma2,
+    gamma2_case_bounds,
+    gamma2_m2_strict,
+    min_forest_edges,
+    tau,
+)
 from test_search import _graph, _unreduced_scan
 
 try:
@@ -219,6 +221,15 @@ class TestVizingBound:
     def test_requires_gamma2(self):
         with pytest.raises(ValueError):
             vizing_bound(6, 1)
+
+    @pytest.mark.parametrize("n, gamma", [(2, 3), (3, 5), (0, 2)])
+    def test_rejects_fewer_vertices_than_gamma(self, n, gamma):
+        with pytest.raises(ValueError, match=r"^requires n >= gamma$"):
+            vizing_bound(n, gamma)
+
+    def test_edgeless_at_n_equal_gamma(self):
+        for gamma in range(2, 10):
+            assert vizing_bound(gamma, gamma) == 0
 
 
 class TestTau:

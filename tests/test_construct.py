@@ -12,7 +12,6 @@ from unidom import (
     construct_bipartite,
     construct_fischermann,
     construct_star,
-    degree_sequence,
     fischermann_bound,
     from_edge_list,
     is_umd,
@@ -27,12 +26,15 @@ from unidom.construct import ConstructionLayout
 from conftest import (
     FAMILY_GRID,
     assert_unique_domination_theory,
+    degree_sequence,
     perfect_by_degree_sum,
     perfect_by_structure,
     reference_bipartite_edge_groups,
     reference_bipartite_layout,
     reference_fischermann_edges,
     reference_fischermann_layout,
+    reference_star_edges,
+    reference_star_layout,
 )
 
 
@@ -131,6 +133,16 @@ def test_rows_match_the_edge_list_recipes(n, gamma):
     assert (layout.role_of, layout.labels) == (role_of, labels)
     assert layout.intended_dominators == intended
     assert layout.partition is None
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_star_rows_match_the_edge_list_recipe(n):
+    g, layout = construct_star(n)
+    assert g == from_edge_list(n, reference_star_edges(n))
+    role_of, labels, intended, side_a = reference_star_layout(n)
+    assert (layout.role_of, layout.labels) == (role_of, labels)
+    assert layout.intended_dominators == intended
+    assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
 
 
 class TestFischermannFamily:

@@ -13,7 +13,6 @@ from unidom import (
     are_isomorphic,
     bipartite_complement,
     bit_list,
-    degree_sequence,
     emit_dot,
     emit_edge_list,
     emit_graph6,
@@ -26,7 +25,13 @@ from unidom import (
 
 from unidom.graph import _match, _refine
 
-from conftest import bipartite_graphs, brute_force_isomorphic, graphs, random_bipartite
+from conftest import (
+    bipartite_graphs,
+    brute_force_isomorphic,
+    degree_sequence,
+    graphs,
+    random_bipartite,
+)
 
 try:
     import networkx as nx
