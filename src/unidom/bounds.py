@@ -20,9 +20,12 @@ def phi(n: int, gamma: int) -> int:
 
     The first two building stages hold 3*gamma + (2*ceil(g/2) - floor(g/2) + 1)
     vertices; phi counts how many vertices of an order-n graph spill past that.
+    Defined for n >= 3*gamma, where the first stage fits.
     """
     if n < 1 or gamma < 1:
         raise ValueError("n and gamma must be positive")
+    if n < 3 * gamma:
+        raise ValueError("requires n >= 3*gamma")
     ch, fh = _halves(gamma)
     return max(0, n - 3 * gamma - (2 * ch - fh + 1))
 

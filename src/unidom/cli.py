@@ -150,21 +150,22 @@ def _bound_rows(args) -> list[dict]:
     n_hi = args.n_to if args.n_to is not None else args.n
     if n_hi < args.n:
         raise CliError("--n-to must not be below --n")
-    rows = []
-    for n in range(args.n, n_hi + 1):
-        if args.gamma < 2 or n < 3 * args.gamma:
-            raise CliError(
-                f"bound table requires gamma >= 2 and n >= 3*gamma (n={n}, gamma={args.gamma})"
-            )
-        rows.append({
+    # n only grows along the table, so its first row is the one to check
+    if args.gamma < 2 or args.n < 3 * args.gamma:
+        raise CliError(
+            f"bound table requires gamma >= 2 and n >= 3*gamma (n={args.n}, gamma={args.gamma})"
+        )
+    return [
+        {
             "n": n,
             "gamma": args.gamma,
             "m_bipartite": bounds.bipartite_bound(n, args.gamma),
             "m_fischermann": bounds.fischermann_bound(n, args.gamma),
             "vizing": _exact_to_json(bounds.vizing_bound(n, args.gamma)),
             "phi": bounds.phi(n, args.gamma),
-        })
-    return rows
+        }
+        for n in range(args.n, n_hi + 1)
+    ]
 
 
 def cmd_bound(args) -> int:

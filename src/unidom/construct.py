@@ -1,10 +1,11 @@
 """Deterministic builders for extremal uniquely-dominated graphs.
 
-Two families are produced with full role bookkeeping: the bipartite family
-meeting the bipartite bound and the perfectly dominated general family
-meeting Fischermann's bound, plus the star that settles gamma = 1.  The
-verifier re-derives every claimed property through the domination module,
-trusting nothing the builder says about its own output.
+Two families are produced, each with its intended dominating set and its
+vertex groups: the bipartite family meeting the bipartite bound and the
+perfectly dominated general family meeting Fischermann's bound, plus the
+star that settles gamma = 1.  The verifier re-derives every claimed
+property through the domination module, trusting nothing the builder says
+about its own output.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Optional
 from .bounds import phi
 from .domination import (
     closed_neighborhoods_disjoint,
+    enumerate_minimum_dominating_sets,
     exterior_private_neighbors,
     is_dominating,
-    is_umd,
 )
 from .graph import (
     Bipartition,
@@ -31,17 +32,31 @@ from .graph import (
 
 @dataclass(frozen=True)
 class ConstructionLayout:
-    """Role partition attached to a constructed graph.
+    """What a builder says about its graph: the intended dominating set, the
+    bipartition when the family is bipartite, and the vertex groups.
 
-    ``role_of`` uses the bipartite-family roles D_X, D_Y, X1, X2, Y, C,
-    R_prime, R_dprime or the general-family roles D, A, B, R.  ``labels``
-    carry the per-vertex display names used for DOT output.
+    ``groups`` holds ``(letter, vertices)`` pairs in numbering order, where
+    each entry of ``vertices`` is a vertex or a pair of vertices:
+    x, y, b, a, c, r for the bipartite family (b and a hold pairs), x, a,
+    b, r for Fischermann's and x, a for the star.
     """
 
-    role_of: dict[int, str]
-    labels: dict[int, str]
     intended_dominators: int
     partition: Optional[Bipartition] = None
+    groups: tuple = ()
+
+    @property
+    def labels(self) -> dict[int, str]:
+        """Per-vertex display names for DOT output: ``x1``, ``b1,2``, ..."""
+        labels = {}
+        for letter, members in self.groups:
+            for i, m in enumerate(members, start=1):
+                if isinstance(m, tuple):
+                    for k, v in enumerate(m, start=1):
+                        labels[v] = f"{letter}{i},{k}"
+                else:
+                    labels[m] = f"{letter}{i}"
+        return labels
 
 
 def _bipartite_parts(n: int, gamma: int):
@@ -105,7 +120,7 @@ def _bipartite_rows(n: int, parts) -> list[int]:
 
 def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
     """Extremal bipartite graph with unique minimum dominating set of size
-    ``gamma`` on ``n`` vertices, together with its role layout."""
+    ``gamma`` on ``n`` vertices, together with its layout."""
     _check_vertex_count(n)
     if gamma < 2:
         raise ValueError("family requires gamma >= 2 (see construct_star)")
@@ -115,37 +130,11 @@ def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
     g = Graph(n, tuple(_bipartite_rows(n, parts)))
 
     xs, ys, bs, as_, cs, rs = parts
-    role_of: dict[int, str] = {}
-    labels: dict[int, str] = {}
-    for i, x in enumerate(xs, start=1):
-        role_of[x] = "D_X"
-        labels[x] = f"x{i}"
-    for j, y in enumerate(ys, start=1):
-        role_of[y] = "D_Y"
-        labels[y] = f"y{j}"
-    for i, (b1, b2) in enumerate(bs, start=1):
-        role_of[b1] = "X1"
-        role_of[b2] = "X2"
-        labels[b1] = f"b{i},1"
-        labels[b2] = f"b{i},2"
-    for j, (a1, a2) in enumerate(as_, start=1):
-        role_of[a1] = role_of[a2] = "Y"
-        labels[a1] = f"a{j},1"
-        labels[a2] = f"a{j},2"
-    for k, c in enumerate(cs, start=1):
-        role_of[c] = "C"
-        labels[c] = f"c{k}"
-    for i, r in enumerate(rs, start=1):
-        role_of[r] = "R_prime" if i % 2 == 1 else "R_dprime"
-        labels[r] = f"r{i}"
-
     side_a = mask_of(xs) | mask_of(a for pair in as_ for a in pair) | mask_of(rs[0::2])
-    partition = Bipartition(side_a, g.full_mask & ~side_a)
     layout = ConstructionLayout(
-        role_of=role_of,
-        labels=labels,
         intended_dominators=mask_of(xs) | mask_of(ys),
-        partition=partition,
+        partition=Bipartition(side_a, g.full_mask & ~side_a),
+        groups=tuple(zip("xybacr", parts)),
     )
     return g, layout
 
@@ -178,27 +167,9 @@ def construct_fischermann(n: int, gamma: int) -> tuple[Graph, ConstructionLayout
     for v in clique:
         rows[v] |= clique_mask ^ (1 << v)
     g = Graph(n, tuple(rows))
-
-    role_of: dict[int, str] = {}
-    labels: dict[int, str] = {}
-    for i, x in enumerate(xs, start=1):
-        role_of[x] = "D"
-        labels[x] = f"x{i}"
-    for i, a in enumerate(as_, start=1):
-        role_of[a] = "A"
-        labels[a] = f"a{i}"
-    for i, b in enumerate(bs, start=1):
-        role_of[b] = "B"
-        labels[b] = f"b{i}"
-    for k, r in enumerate(rs, start=1):
-        role_of[r] = "R"
-        labels[r] = f"r{k}"
-
     layout = ConstructionLayout(
-        role_of=role_of,
-        labels=labels,
         intended_dominators=mask_of(xs),
-        partition=None,
+        groups=(("x", xs), ("a", as_), ("b", bs), ("r", rs)),
     )
     return g, layout
 
@@ -213,16 +184,10 @@ def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
     # the centre 0 sees every leaf 1..n-1; each leaf sees only the centre
     leaves = (1 << n) - 2
     g = Graph(n, (leaves,) + (1,) * (n - 1))
-    role_of = {0: "D"}
-    labels = {0: "x1"}
-    for v in range(1, n):
-        role_of[v] = "A"
-        labels[v] = f"a{v}"
     layout = ConstructionLayout(
-        role_of=role_of,
-        labels=labels,
         intended_dominators=1,
         partition=Bipartition(1, leaves),
+        groups=(("x", (0,)), ("a", range(1, n))),
     )
     return g, layout
 
@@ -278,40 +243,33 @@ def verify_construction(g: Graph, layout: ConstructionLayout,
 
     # one solve settles gamma and uniqueness; the intended set is then
     # minimum exactly when it dominates and has gamma vertices
-    report = is_umd(g)
-    gamma = report.gamma
+    min_sets = enumerate_minimum_dominating_sets(g, cap=2)
+    gamma = min_sets[0].bit_count()
     checks["gamma"] = CheckResult(gamma == want_gamma, want_gamma, gamma)
 
-    checks["unique_minimum_dominating_set"] = CheckResult(report.unique, True, report.unique)
+    unique = len(min_sets) == 1
+    checks["unique_minimum_dominating_set"] = CheckResult(unique, True, unique)
 
-    match = report.unique and report.min_sets == [intended]
+    match = min_sets == [intended]
     checks["minimum_set_is_intended"] = CheckResult(
-        match, bit_list(intended), [bit_list(s) for s in report.min_sets]
+        match, bit_list(intended), [bit_list(s) for s in min_sets]
     )
 
-    if match:
-        # is_umd read these off its unique set, which is the intended one
-        disjoint = report.perfectly_dominated
-        epn_counts = {v: m.bit_count() for v, m in report.epn_by_dominator.items()}
-        epn_ok = report.epn_condition_met
-    else:
-        disjoint = closed_neighborhoods_disjoint(g, intended)
-        if dominates:
-            epn_counts = {
-                v: exterior_private_neighbors(g, v, intended).bit_count()
-                for v in bit_list(intended)
-            }
-            epn_ok = all(c >= 2 for c in epn_counts.values())
-        else:
-            epn_counts = {}
-            epn_ok = False
+    # the set checks run on the intended set, whichever set the solver found;
+    # private neighbours are counted only against a dominating set
+    disjoint = closed_neighborhoods_disjoint(g, intended)
+    epn_counts = {
+        str(v): exterior_private_neighbors(g, v, intended).bit_count()
+        for v in bit_list(intended)
+    } if dominates else {}
+    epn_ok = dominates and all(c >= 2 for c in epn_counts.values())
     # a minimum dominating set is perfect exactly when its closed
     # neighborhoods are pairwise disjoint
     perfect = dominates and gamma == want_gamma and disjoint
     checks["perfectly_dominated"] = CheckResult(perfect, True, perfect)
     checks["closed_neighborhoods_disjoint"] = CheckResult(disjoint, True, disjoint)
     checks["epn_at_least_two_per_dominator"] = CheckResult(
-        epn_ok, ">=2 each", {str(v): c for v, c in epn_counts.items()}
+        epn_ok, ">=2 each", epn_counts
     )
 
     if layout.partition is not None:

@@ -284,25 +284,23 @@ def reference_bipartite_edge_groups(n: int, gamma: int) -> dict[str, list[tuple[
 
 
 def reference_bipartite_layout(n: int, gamma: int):
-    """(role_of, labels, intended dominators, side A) of the bipartite family."""
+    """(labels, intended dominators, side A) of the bipartite family."""
     xs, ys, bs, as_, cs, rs = reference_bipartite_parts(n, gamma)
-    role_of, labels = {}, {}
+    labels = {}
     for i, x in enumerate(xs, start=1):
-        role_of[x], labels[x] = "D_X", f"x{i}"
+        labels[x] = f"x{i}"
     for j, y in enumerate(ys, start=1):
-        role_of[y], labels[y] = "D_Y", f"y{j}"
+        labels[y] = f"y{j}"
     for i, (b1, b2) in enumerate(bs, start=1):
-        role_of[b1], labels[b1] = "X1", f"b{i},1"
-        role_of[b2], labels[b2] = "X2", f"b{i},2"
+        labels[b1], labels[b2] = f"b{i},1", f"b{i},2"
     for j, (a1, a2) in enumerate(as_, start=1):
-        role_of[a1], labels[a1] = "Y", f"a{j},1"
-        role_of[a2], labels[a2] = "Y", f"a{j},2"
+        labels[a1], labels[a2] = f"a{j},1", f"a{j},2"
     for k, c in enumerate(cs, start=1):
-        role_of[c], labels[c] = "C", f"c{k}"
+        labels[c] = f"c{k}"
     for i, r in enumerate(rs, start=1):
-        role_of[r], labels[r] = ("R_prime" if i % 2 == 1 else "R_dprime"), f"r{i}"
+        labels[r] = f"r{i}"
     side_a = mask_of(xs) | mask_of(a for pair in as_ for a in pair) | mask_of(rs[0::2])
-    return role_of, labels, mask_of(xs + ys), side_a
+    return labels, mask_of(xs + ys), side_a
 
 
 def reference_fischermann_edges(n: int, gamma: int) -> list[tuple[int, int]]:
@@ -323,14 +321,14 @@ def reference_fischermann_edges(n: int, gamma: int) -> list[tuple[int, int]]:
 
 
 def reference_fischermann_layout(n: int, gamma: int):
-    """(role_of, labels, intended dominators) of the Fischermann family."""
-    role_of, labels = {}, {}
-    for role, name, first in (("D", "x", 0), ("A", "a", gamma), ("B", "b", 2 * gamma)):
+    """(labels, intended dominators) of the Fischermann family."""
+    labels = {}
+    for name, first in (("x", 0), ("a", gamma), ("b", 2 * gamma)):
         for i in range(gamma):
-            role_of[first + i], labels[first + i] = role, f"{name}{i + 1}"
+            labels[first + i] = f"{name}{i + 1}"
     for k, r in enumerate(range(3 * gamma, n), start=1):
-        role_of[r], labels[r] = "R", f"r{k}"
-    return role_of, labels, (1 << gamma) - 1
+        labels[r] = f"r{k}"
+    return labels, (1 << gamma) - 1
 
 
 def reference_star_edges(n: int) -> list[tuple[int, int]]:
@@ -339,10 +337,9 @@ def reference_star_edges(n: int) -> list[tuple[int, int]]:
 
 
 def reference_star_layout(n: int):
-    """(role_of, labels, intended dominators, side A) of the star."""
-    role_of = {0: "D", **{v: "A" for v in range(1, n)}}
+    """(labels, intended dominators, side A) of the star."""
     labels = {0: "x1", **{v: f"a{v}" for v in range(1, n)}}
-    return role_of, labels, 1, 1
+    return labels, 1, 1
 
 
 # the certificate grid: both families, 2 <= gamma <= 21, 3*gamma <= n <= min(3*gamma + 10, 64)

@@ -113,6 +113,12 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(0, 1)
 
+    @pytest.mark.parametrize("n, gamma", [(4, 2), (1, 5), (8, 3), (2, 1)])
+    def test_rejects_n_below_three_gamma(self, n, gamma):
+        # below 3*gamma the first stage does not fit, so there is no tail to count
+        with pytest.raises(ValueError, match=r"^requires n >= 3\*gamma$"):
+            phi(n, gamma)
+
 
 class TestBipartiteBound:
     def test_known_values(self):

@@ -11,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unidom import cli, emit_edge_list, emit_graph6, from_edge_list, parse_graph6
+from unidom import cli, emit_dot, emit_edge_list, emit_graph6, from_edge_list, parse_graph6
 from unidom.cli import main
 from unidom.schema import validate_document
+
+from conftest import (
+    reference_bipartite_edge_groups,
+    reference_bipartite_layout,
+    reference_fischermann_edges,
+    reference_fischermann_layout,
+    reference_star_edges,
+    reference_star_layout,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -101,7 +110,7 @@ class TestConstructCommand:
         g = parse_graph6(out.strip())
         assert g.n == 10 and g.size() == 15
 
-    def test_dot_output_uses_labels(self, capsys):
+    def test_dot_output_uses_labels(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,
             ["construct", "--family", "bipartite", "--n", "6", "--gamma", "2",
@@ -109,6 +118,26 @@ class TestConstructCommand:
         )
         assert code == 0
         assert 'label="x1"' in out and 'label="b1,2"' in out
+        # the whole text, on stdout and in an --out file, is the reference
+        # graph labelled with the reference names of each family
+        bip_edges = [e for group in reference_bipartite_edge_groups(15, 3).values()
+                     for e in group]
+        cases = [
+            (["--family", "bipartite", "--n", "15", "--gamma", "3"],
+             from_edge_list(15, bip_edges), reference_bipartite_layout(15, 3)[0]),
+            (["--family", "fischermann", "--n", "11", "--gamma", "3"],
+             from_edge_list(11, reference_fischermann_edges(11, 3)),
+             reference_fischermann_layout(11, 3)[0]),
+            (["--family", "star", "--n", "5"],
+             from_edge_list(5, reference_star_edges(5)), reference_star_layout(5)[0]),
+        ]
+        for args, g, labels in cases:
+            want = emit_dot(g, labels)
+            argv = ["construct", *args, "--format", "dot"]
+            assert run(capsys, argv) == (0, want, "")
+            target = tmp_path / "g.dot"
+            assert run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+            assert target.read_text() == want
 
     def test_star_family(self, capsys):
         code, out, _ = run(capsys, ["construct", "--family", "star", "--n", "5",

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,11 @@ from conftest import (
 )
 
 
+def label_letters(layout):
+    """How many vertices the layout's labels give each letter."""
+    return Counter(label[0] for label in layout.labels.values())
+
+
 class TestBipartiteFamily:
     def test_6_2_exact_edges(self):
         g, layout = construct_bipartite(6, 2)
@@ -59,9 +65,9 @@ class TestBipartiteFamily:
     def test_14_2_case3_shape(self):
         g, layout = construct_bipartite(14, 2)
         assert g.size() == bipartite_bound(14, 2) == 42
-        roles = list(layout.role_of.values())
-        assert roles.count("C") == 2
-        assert roles.count("R_prime") + roles.count("R_dprime") == 6
+        letters = label_letters(layout)
+        assert letters["c"] == 2
+        assert letters["r"] == 6
         report = is_umd(g)
         assert report.unique and report.gamma == 2
 
@@ -107,12 +113,12 @@ class TestBipartiteFamily:
         for gamma in range(2, 7):
             for n in (3 * gamma, 3 * gamma + 2, 3 * gamma + 9):
                 _, layout = construct_bipartite(n, gamma)
-                roles = list(layout.role_of.values())
-                assert roles.count("D_X") == gamma // 2
-                assert roles.count("D_Y") == (gamma + 1) // 2
-                assert roles.count("X1") + roles.count("X2") == 2 * (gamma // 2)
-                assert roles.count("Y") == 2 * ((gamma + 1) // 2)
-                assert roles.count("R_prime") + roles.count("R_dprime") == phi(n, gamma)
+                letters = label_letters(layout)
+                assert letters["x"] == gamma // 2
+                assert letters["y"] == (gamma + 1) // 2
+                assert letters["b"] == 2 * (gamma // 2)
+                assert letters["a"] == 2 * ((gamma + 1) // 2)
+                assert letters["r"] == phi(n, gamma)
                 assert layout.intended_dominators.bit_count() == gamma
 
 
@@ -122,15 +128,15 @@ def test_rows_match_the_edge_list_recipes(n, gamma):
     g, layout = construct_bipartite(n, gamma)
     groups = reference_bipartite_edge_groups(n, gamma)
     assert g == from_edge_list(n, [e for group in groups.values() for e in group])
-    role_of, labels, intended, side_a = reference_bipartite_layout(n, gamma)
-    assert (layout.role_of, layout.labels) == (role_of, labels)
+    labels, intended, side_a = reference_bipartite_layout(n, gamma)
+    assert layout.labels == labels
     assert layout.intended_dominators == intended
     assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
 
     g, layout = construct_fischermann(n, gamma)
     assert g == from_edge_list(n, reference_fischermann_edges(n, gamma))
-    role_of, labels, intended = reference_fischermann_layout(n, gamma)
-    assert (layout.role_of, layout.labels) == (role_of, labels)
+    labels, intended = reference_fischermann_layout(n, gamma)
+    assert layout.labels == labels
     assert layout.intended_dominators == intended
     assert layout.partition is None
 
@@ -139,8 +145,8 @@ def test_rows_match_the_edge_list_recipes(n, gamma):
 def test_star_rows_match_the_edge_list_recipe(n):
     g, layout = construct_star(n)
     assert g == from_edge_list(n, reference_star_edges(n))
-    role_of, labels, intended, side_a = reference_star_layout(n)
-    assert (layout.role_of, layout.labels) == (role_of, labels)
+    labels, intended, side_a = reference_star_layout(n)
+    assert layout.labels == labels
     assert layout.intended_dominators == intended
     assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
 
@@ -162,7 +168,7 @@ class TestFischermannFamily:
         assert g.size() == 12
         g, layout = construct_fischermann(10, 3)
         assert g.size() == 18
-        assert list(layout.role_of.values()).count("R") == 1
+        assert len(dict(layout.groups)["r"]) == 1
 
     def test_not_bipartite_when_clique_grows(self):
         from unidom import find_bipartition
@@ -247,10 +253,9 @@ class TestVerifyConstruction:
     def test_wrong_dominators_fail(self):
         g, layout = construct_bipartite(6, 2)
         bogus = ConstructionLayout(
-            role_of=layout.role_of,
-            labels=layout.labels,
             intended_dominators=mask_of([2, 4]),
             partition=layout.partition,
+            groups=layout.groups,
         )
         cert = verify_construction(g, bogus, 6)
         assert not cert.passed
@@ -272,6 +277,31 @@ class TestVerifyConstruction:
         g, layout = construct_bipartite(12, 3)
         assert verify_construction(g, layout, bipartite_bound(12, 3)).passed
         assert calls == [12]
+
+    @pytest.mark.parametrize("g, layout", [
+        construct_bipartite(12, 3),
+        construct_fischermann(13, 4),
+        construct_star(5),
+    ], ids=["bipartite", "fischermann", "star"])
+    def test_set_checks_run_on_the_intended_set(self, monkeypatch, g, layout):
+        # a passing certificate computes the private neighbours of each
+        # intended dominator and the disjointness of their closed
+        # neighborhoods itself, through the bindings in unidom.construct
+        import unidom.construct
+
+        calls = Counter()
+        for name in ("exterior_private_neighbors", "closed_neighborhoods_disjoint"):
+            real = getattr(unidom.construct, name)
+
+            def counted(g, *args, _name=name, _real=real):
+                calls[_name, args[-1]] += 1
+                return _real(g, *args)
+
+            monkeypatch.setattr(unidom.construct, name, counted)
+        d = layout.intended_dominators
+        assert verify_construction(g, layout, g.size()).passed
+        assert calls == {("exterior_private_neighbors", d): d.bit_count(),
+                         ("closed_neighborhoods_disjoint", d): 1}
 
     def test_bipartite_reach(self):
         """Certify the bipartite family at large n and gamma.
@@ -373,8 +403,8 @@ def _wrong_sets(g, d):
     (construct_fischermann, fischermann_bound),
 ], ids=["bipartite", "fischermann"])
 def test_set_checks_match_recomputation(builder, bound):
-    # the intended set reads these off the one solve, the wrong sets
-    # compute them afresh; both must agree with the definitions
+    # the intended set and the wrong ones go through the same set checks,
+    # which must agree with the definitions
     for n, gamma in FAMILY_GRID:
         g, layout = builder(n, gamma)
         d = layout.intended_dominators
@@ -384,7 +414,7 @@ def test_set_checks_match_recomputation(builder, bound):
         assert {k: checks[k] for k in recomputed_set_checks(g, d, gamma)} == \
             recomputed_set_checks(g, d, gamma)
         for kind, s in _wrong_sets(g, d).items():
-            bogus = ConstructionLayout(layout.role_of, layout.labels, s, layout.partition)
+            bogus = ConstructionLayout(s, layout.partition, layout.groups)
             wrong = verify_construction(g, bogus, bound(n, gamma)).to_json()["checks"]
             want = recomputed_set_checks(g, s, gamma)
             assert {k: wrong[k] for k in want} == want, (n, gamma, kind)
@@ -399,10 +429,11 @@ def test_set_checks_match_recomputation(builder, bound):
 
 def test_set_checks_when_the_unique_set_is_not_perfect():
     # both families are perfectly dominated, so their intended sets never
-    # show the one-solve entries on a set whose closed neighborhoods meet:
-    # a double star, centers 0 and 1 adjacent, each with two leaves
+    # show the set checks on a unique minimum set whose closed
+    # neighborhoods meet: a double star, centers 0 and 1 adjacent, each
+    # with two leaves
     g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    layout = ConstructionLayout({}, {}, mask_of([0, 1]))
+    layout = ConstructionLayout(mask_of([0, 1]))
     cert = verify_construction(g, layout, 5)
     assert cert.checks["minimum_set_is_intended"].passed
     checks = cert.to_json()["checks"]

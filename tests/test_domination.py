@@ -230,7 +230,7 @@ class TestPerfectDomination:
             want = perfect_by_degree_sum(g, d)
             assert perfect_by_structure(g, d) == want
             assert is_perfectly_dominated(g, d) == want
-            layout = ConstructionLayout(role_of={}, labels={}, intended_dominators=d)
+            layout = ConstructionLayout(intended_dominators=d)
             cert = verify_construction(g, layout, g.size())
             assert cert.checks["perfectly_dominated"].passed == want
         report = is_umd(g)
