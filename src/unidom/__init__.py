@@ -35,7 +35,6 @@ from .domination import (
 )
 from .graph import (
     MAX_VERTICES,
-    Bipartition,
     Graph,
     Graph6Error,
     are_isomorphic,
@@ -80,7 +79,6 @@ __all__ = [
     "is_perfectly_dominated",
     "is_umd",
     "MAX_VERTICES",
-    "Bipartition",
     "Graph",
     "Graph6Error",
     "are_isomorphic",

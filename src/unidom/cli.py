@@ -109,7 +109,7 @@ def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing edge-list ('n m' header) vs graph6."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     if not stripped:
@@ -133,13 +133,12 @@ def load_graph(path: str) -> Graph:
 
 
 def _emit_graph(g: Graph, fmt: str, layout: Optional[ConstructionLayout] = None) -> str:
+    # fmt is one of the --format choices, which argparse has checked
     if fmt == "graph6":
         return emit_graph6(g) + "\n"
     if fmt == "edgelist":
         return emit_edge_list(g)
-    if fmt == "dot":
-        return emit_dot(g, labels=layout.labels if layout else None)
-    raise CliError(f"unknown format {fmt!r}")
+    return emit_dot(g, labels=layout.labels if layout else None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +304,11 @@ def cmd_search(args) -> int:
 
 def cmd_complement(args) -> int:
     g = load_graph(args.input)
-    p = find_bipartition(g)
-    if p is None:
+    side = find_bipartition(g)
+    if side is None:
         print("error: input graph is not bipartite", file=sys.stderr)
         return EXIT_FAIL
-    sys.stdout.write(_emit_graph(bipartite_complement(g, p), args.format))
+    sys.stdout.write(_emit_graph(bipartite_complement(g, side), args.format))
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ from .domination import (
     is_dominating,
 )
 from .graph import (
-    Bipartition,
     Graph,
     _check_vertex_count,
     bit_list,
@@ -33,7 +32,8 @@ from .graph import (
 @dataclass(frozen=True)
 class ConstructionLayout:
     """What a builder says about its graph: the intended dominating set, the
-    bipartition when the family is bipartite, and the vertex groups.
+    vertex mask of one side of the bipartition when the family is bipartite
+    (the other side is the rest), and the vertex groups.
 
     ``groups`` holds ``(letter, vertices)`` pairs in numbering order, where
     each entry of ``vertices`` is a vertex or a pair of vertices:
@@ -42,7 +42,7 @@ class ConstructionLayout:
     """
 
     intended_dominators: int
-    partition: Optional[Bipartition] = None
+    partition: Optional[int] = None
     groups: tuple = ()
 
     @property
@@ -133,7 +133,7 @@ def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
     side_a = mask_of(xs) | mask_of(a for pair in as_ for a in pair) | mask_of(rs[0::2])
     layout = ConstructionLayout(
         intended_dominators=mask_of(xs) | mask_of(ys),
-        partition=Bipartition(side_a, g.full_mask & ~side_a),
+        partition=side_a,
         groups=tuple(zip("xybacr", parts)),
     )
     return g, layout
@@ -186,7 +186,7 @@ def construct_star(n: int) -> tuple[Graph, ConstructionLayout]:
     g = Graph(n, (leaves,) + (1,) * (n - 1))
     layout = ConstructionLayout(
         intended_dominators=1,
-        partition=Bipartition(1, leaves),
+        partition=1,
         groups=(("x", (0,)), ("a", range(1, n))),
     )
     return g, layout

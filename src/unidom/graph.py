@@ -3,11 +3,12 @@
 Each graph stores one adjacency bitmask per vertex, so neighborhood unions,
 domination tests and complement arithmetic are single integer operations.
 This module also carries the structural toolbox the rest of the package is
-built on: two-coloring, bipartite complement, graph6 / edge-list / DOT
-serialization, and a small-order isomorphism test.  The test color-refines
-each graph once on its own, into an invariant key and a vertex coloring, and
-then backtracks only over maps between vertices of equal color; the search
-reuses the two steps to merge witnesses by key.
+built on: two-coloring (a bipartition is the vertex mask of one side),
+bipartite complement, graph6 / edge-list / DOT serialization, and a
+small-order isomorphism test.  The test color-refines each graph once on its
+own, into an invariant key and a vertex coloring, and then backtracks only
+over maps between vertices of equal color; the search reuses the two steps
+to merge witnesses by key.
 
 A graph checks its own adjacency rows when it is built.  Symmetry is one
 comparison: the rows packed into a single integer against its transpose,
@@ -165,61 +166,55 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two-coloring witness: vertex masks ``a`` and ``b`` cover V disjointly."""
-
-    a: int
-    b: int
-
-
-def check_bipartition(g: Graph, p: Bipartition) -> None:
-    """Raise ValueError unless ``p`` is a valid bipartition of ``g``."""
-    if p.a & p.b:
-        raise ValueError("partition sides overlap")
-    if (p.a | p.b) != g.full_mask:
-        raise ValueError("partition does not cover all vertices")
-    for side in (p.a, p.b):
-        for v in iter_bits(side):
-            if g.adj[v] & side:
-                raise ValueError(f"edge inside partition side at vertex {v}")
+def _conflict(g: Graph, side: int) -> int:
+    """The first vertex with a neighbor on its own side of the split into
+    ``side`` and the rest, scanning ``side`` first; -1 when there is none."""
+    for part in (side, g.full_mask & ~side):
+        for v in iter_bits(part):
+            if g.adj[v] & part:
+                return v
+    return -1
 
 
-def find_bipartition(g: Graph) -> Optional[Bipartition]:
-    """Two-color ``g`` by BFS, or return None if it has an odd cycle.
+def check_bipartition(g: Graph, side: int) -> None:
+    """Raise ValueError unless the vertex mask ``side`` and the rest of the
+    vertices are both independent sets of ``g``."""
+    if side & ~g.full_mask:
+        raise ValueError("partition side has bits beyond the vertex range")
+    v = _conflict(g, side)
+    if v >= 0:
+        raise ValueError(f"edge inside partition side at vertex {v}")
 
-    Disconnected graphs are colored per component with each BFS root
-    placed on side ``a``.
+
+def find_bipartition(g: Graph) -> Optional[int]:
+    """Two-color ``g``: the mask of one side, or None if ``g`` has an odd cycle.
+
+    Each component's lowest vertex is on the returned side, with every
+    vertex an even number of BFS layers from it; the other side is the rest.
     """
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                cu = color[u]
-                for w in iter_bits(g.adj[u]):
-                    if color[w] == -1:
-                        color[w] = 1 - cu
-                        nxt.append(w)
-                    elif color[w] == cu:
-                        return None
-            frontier = nxt
-    a = mask_of(v for v in range(g.n) if color[v] == 0)
-    return Bipartition(a, g.full_mask & ~a)
+    side = 0
+    rest = g.full_mask
+    while rest:
+        layer = rest & -rest
+        even = True
+        while layer:
+            rest &= ~layer
+            if even:
+                side |= layer
+            reach = 0
+            for v in iter_bits(layer):
+                reach |= g.adj[v]
+            layer = reach & rest
+            even = not even
+    return None if _conflict(g, side) >= 0 else side
 
 
-def bipartite_complement(g: Graph, p: Bipartition) -> Graph:
-    """Swap present and absent cross edges; sides of ``p`` stay independent."""
-    check_bipartition(g, p)
-    rows = [0] * g.n
-    for v in iter_bits(p.a):
-        rows[v] = p.b & ~g.adj[v]
-    for v in iter_bits(p.b):
-        rows[v] = p.a & ~g.adj[v]
+def bipartite_complement(g: Graph, side: int) -> Graph:
+    """Swap present and absent cross edges of the split into ``side`` and
+    the rest; both sides stay independent."""
+    check_bipartition(g, side)
+    other = g.full_mask & ~side
+    rows = [(other if (side >> v) & 1 else side) & ~g.adj[v] for v in range(g.n)]
     return Graph(g.n, tuple(rows))
 
 
@@ -347,10 +342,9 @@ def parse_edge_list(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def emit_dot(g: Graph, labels: Optional[Mapping[int, str]] = None,
-             name: str = "G") -> str:
+def emit_dot(g: Graph, labels: Optional[Mapping[int, str]] = None) -> str:
     """DOT output (undirected); ``labels`` override the numeric node names."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         if labels and v in labels:
             lines.append(f'  {v} [label="{labels[v]}"];')

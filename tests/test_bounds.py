@@ -54,8 +54,8 @@ def _placements(g, d):
             reach |= g.adj[w]
     if not (reach >> v) & 1:
         return {"same side", "opposite, non-adjacent"}
-    p = find_bipartition(g)
-    return {"same side" if (p.a >> u) & 1 == (p.a >> v) & 1 else "opposite, non-adjacent"}
+    side = find_bipartition(g)
+    return {"same side" if (side >> u) & 1 == (side >> v) & 1 else "opposite, non-adjacent"}
 
 
 def gamma2_placement_maxima(n):

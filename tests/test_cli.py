@@ -79,6 +79,12 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in err
 
+    def test_n_to_below_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["bound", "--n", "9", "--gamma", "2", "--n-to", "8"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --n-to must not be below --n"]
+
 
 class TestConstructCommand:
     def test_verify_bipartite(self, capsys):
@@ -155,6 +161,19 @@ class TestConstructCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_star_with_other_gamma_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["construct", "--family", "star", "--n", "5",
+                                      "--gamma", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: the star family fixes gamma = 1"]
+
+    def test_missing_gamma_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["construct", "--family", "bipartite", "--n", "6"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --gamma is required for this family"]
 
     def test_star_verify(self, capsys):
         code, out, _ = run(
@@ -265,6 +284,15 @@ class TestVerifyCommand:
         assert doc["report"]["gamma"] == 3
         assert any("isolated" in w for w in doc["warnings"])
 
+    def test_text_mode_warns_on_stderr(self, capsys, tmp_path):
+        path = tmp_path / "isolated.txt"
+        path.write_text("3 1\n0 1\n")
+        code, out, err = run(capsys, ["verify", "--in", str(path)])
+        assert code == 1
+        assert out.splitlines()[0] == "gamma\t2"
+        assert err.splitlines() == [
+            "warning\tisolated vertices present: [2] (uniqueness theory assumes none)"]
+
     def test_edge_list_input(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, ["verify", "--in", write_c4(tmp_path, fmt="txt"), "--json"]
@@ -275,6 +303,18 @@ class TestVerifyCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "--in", "/nonexistent.g6"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["verify", "--in"], ["complement", "--in"], ["iso"]])
+    def test_undecodable_file_names_its_path(self, capsys, tmp_path, command):
+        path = tmp_path / "binary.g6"
+        path.write_bytes(b"\xff\xfe\x00graph")
+        argv = command + [str(path)] + ([str(path)] if command == ["iso"] else [])
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in lines[0]
 
     @pytest.mark.parametrize("text,message", [
         ("3 1\n0 1\n1 2\n0 2\n", "header declares 1 edges, found 3 edge lines"),
@@ -881,6 +921,17 @@ def test_schema_checks_verdict_consistency(kind, fields, report, message):
         assert problems == []
     else:
         assert any(message in p for p in problems), problems
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ([], "document must be an object"),
+    ({"schema": "unidom/1", "kind": "nope"}, "unknown document kind: 'nope'"),
+    ({"schema": "unidom/1", "kind": "bound_table", "rows": [7]}, "bound row must be an object"),
+    ({"schema": "unidom/1", "kind": "verify", "report": [], "ok": False, "warnings": [],
+      "expectations": {}}, "report must be an object"),
+])
+def test_schema_rejects_non_objects_and_unknown_kinds(doc, problem):
+    assert validate_document(doc) == [problem]
 
 
 def test_schema_requires_elapsed():

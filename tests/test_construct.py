@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from unidom import (
-    Bipartition,
     are_isomorphic,
     bipartite_bound,
     check_epn_condition,
@@ -131,7 +130,7 @@ def test_rows_match_the_edge_list_recipes(n, gamma):
     labels, intended, side_a = reference_bipartite_layout(n, gamma)
     assert layout.labels == labels
     assert layout.intended_dominators == intended
-    assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
+    assert layout.partition == side_a
 
     g, layout = construct_fischermann(n, gamma)
     assert g == from_edge_list(n, reference_fischermann_edges(n, gamma))
@@ -148,7 +147,7 @@ def test_star_rows_match_the_edge_list_recipe(n):
     labels, intended, side_a = reference_star_layout(n)
     assert layout.labels == labels
     assert layout.intended_dominators == intended
-    assert layout.partition == Bipartition(side_a, g.full_mask & ~side_a)
+    assert layout.partition == side_a
 
 
 class TestFischermannFamily:
@@ -237,6 +236,22 @@ class TestVerifyConstruction:
         cert = verify_construction(g, layout, 6)
         assert cert.passed
         assert "bipartite" in cert.checks
+
+    @pytest.mark.parametrize("flip, message", [
+        # x1 (0) joins its neighbor 2 on the given side
+        (2, "edge inside partition side at vertex 0"),
+        # y1 (1) and its neighbor 4 end up together in the rest
+        (4, "edge inside partition side at vertex 1"),
+        (6, "partition side has bits beyond the vertex range"),
+    ])
+    def test_side_that_is_not_a_2_coloring_fails(self, flip, message):
+        g, layout = construct_bipartite(6, 2)
+        bogus = ConstructionLayout(layout.intended_dominators, layout.partition ^ 1 << flip,
+                                   layout.groups)
+        cert = verify_construction(g, bogus, 6)
+        assert cert.failures() == ["bipartite"]
+        assert cert.to_json()["checks"]["bipartite"] == {
+            "passed": False, "expected": True, "actual": message}
 
     def test_fischermann_no_bipartite_check(self):
         g, layout = construct_fischermann(9, 3)

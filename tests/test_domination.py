@@ -221,6 +221,10 @@ class TestPerfectDomination:
         with pytest.raises(ValueError):
             is_perfectly_dominated(path(3), mask_of([0, 2]))
 
+    def test_non_dominating_rejected(self):
+        with pytest.raises(ValueError, match="^set does not dominate the graph$"):
+            is_perfectly_dominated(path(4), mask_of([0]))
+
     @staticmethod
     def _check_against_oracles(g):
         # every flag the package reports equals the degree-sum and the

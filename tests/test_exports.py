@@ -23,7 +23,7 @@ def test_all_is_explicit_resolves_and_names_no_module():
     namespace = {}
     exec("from unidom import *", namespace)
     namespace.pop("__builtins__")
-    assert len(unidom.__all__) == len(set(unidom.__all__)) == 40
+    assert len(unidom.__all__) == len(set(unidom.__all__)) == 39
     assert sorted(namespace) == sorted(unidom.__all__)
     for name, value in namespace.items():
         assert not isinstance(value, ModuleType), name

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from unidom import (
     MAX_VERTICES,
-    Bipartition,
     Graph,
     Graph6Error,
     are_isomorphic,
@@ -23,7 +22,7 @@ from unidom import (
     parse_graph6,
 )
 
-from unidom.graph import _match, _refine
+from unidom.graph import _match, _refine, check_bipartition
 
 from conftest import (
     bipartite_graphs,
@@ -85,6 +84,11 @@ class TestFromEdgeList:
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError, match="^asymmetric adjacency between 0 and 1$"):
             Graph(2, (0b10, 0b00))
+
+    def test_row_count_must_match_order(self):
+        with pytest.raises(ValueError,
+                           match="^adjacency row count does not match vertex count$"):
+            Graph(3, (0, 0))
 
 
 # orders at and around the packed row widths of the symmetry check (8, 16,
@@ -163,65 +167,104 @@ class TestDegreeSequence:
 
 class TestBipartition:
     def test_even_cycle(self):
-        p = find_bipartition(cycle(4))
-        assert p is not None
-        assert p.a == mask_of([0, 2]) and p.b == mask_of([1, 3])
+        assert find_bipartition(cycle(4)) == mask_of([0, 2])
 
     def test_odd_cycle(self):
         assert find_bipartition(cycle(3)) is None
 
     def test_reference_graph_sides(self, reference_10_3):
         # a11, a12, a21, a22, x1 must land on one common side
-        p = find_bipartition(reference_10_3)
-        assert p is not None
+        side = find_bipartition(reference_10_3)
+        assert side is not None
         one_side = mask_of([0, 5, 6, 7, 8])
-        assert p.a & one_side in (0, one_side)
-        assert p.b & one_side in (0, one_side)
+        assert side & one_side in (0, one_side)
 
     def test_disconnected_roots_on_a(self):
         g = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
-        p = find_bipartition(g)
-        assert p.a == mask_of([0, 2, 4])
+        assert find_bipartition(g) == mask_of([0, 2, 4])
 
     @given(graphs(max_n=9))
     def test_partition_valid_when_found(self, g):
-        p = find_bipartition(g)
-        if p is not None:
-            assert p.a & p.b == 0
-            assert (p.a | p.b) == g.full_mask
+        side = find_bipartition(g)
+        if side is not None:
+            assert side & ~g.full_mask == 0
             for u, v in g.edges():
-                assert ((p.a >> u) & 1) != ((p.a >> v) & 1)
+                assert ((side >> u) & 1) != ((side >> v) & 1)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_graph_atlas_against_networkx_and_bfs_parity(self):
+        for h in nx.graph_atlas_g():
+            g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+            side = find_bipartition(g)
+            assert (side is not None) == nx.is_bipartite(h), g.edges()
+            if side is not None:
+                assert side == _bfs_parity_side(g), g.edges()
+
+
+def _bfs_parity_side(g):
+    """The vertices at an even BFS distance from their component's lowest
+    vertex, found by a queue over vertex lists."""
+    dist = {}
+    for root in range(g.n):
+        if root in dist:
+            continue
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in range(g.n):
+                if g.has_edge(u, w) and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+    return mask_of(v for v, d in dist.items() if d % 2 == 0)
+
+
+class TestCheckBipartition:
+    @pytest.mark.parametrize("side", [1 << 4, 1 << 70, mask_of([0, 2, 5]), -1])
+    def test_side_beyond_the_graph_rejected(self, side):
+        with pytest.raises(ValueError,
+                           match="^partition side has bits beyond the vertex range$"):
+            check_bipartition(cycle(4), side)
+
+    @pytest.mark.parametrize("side, vertex", [
+        (mask_of([0, 1]), 0),      # the edge 0-1 lies in the side
+        (mask_of([0]), 1),         # the edge 1-2 lies in the rest
+        (mask_of([0, 1, 2, 3]), 0),
+        (0, 0),
+    ])
+    def test_conflict_named_side_first(self, side, vertex):
+        with pytest.raises(ValueError, match=f"^edge inside partition side at vertex {vertex}$"):
+            check_bipartition(cycle(4), side)
+
+    def test_valid_split_passes(self):
+        check_bipartition(cycle(4), mask_of([1, 3]))
+        check_bipartition(from_edge_list(0, []), 0)
 
 
 class TestBipartiteComplement:
     def test_complete_to_edgeless(self):
         g = from_edge_list(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-        p = Bipartition(mask_of([0, 1]), mask_of([2, 3, 4]))
-        assert bipartite_complement(g, p).size() == 0
+        assert bipartite_complement(g, mask_of([0, 1])).size() == 0
 
     def test_edgeless_to_complete(self):
         g = from_edge_list(4, [])
-        p = Bipartition(mask_of([0, 1]), mask_of([2, 3]))
-        assert bipartite_complement(g, p).size() == 4
+        assert bipartite_complement(g, mask_of([0, 1])).size() == 4
 
     def test_invalid_partition_rejected(self):
         g = from_edge_list(3, [(0, 1)])
         with pytest.raises(ValueError):
-            bipartite_complement(g, Bipartition(mask_of([0, 1]), mask_of([2])))
+            bipartite_complement(g, mask_of([0, 1]))
 
     def test_involution_on_random_sample(self):
         rng = random.Random(20260808)
         for _ in range(100):
             n = rng.randint(2, 12)
             g, side = random_bipartite(rng, n, rng.uniform(0.1, 0.9))
-            p = Bipartition(side, g.full_mask & ~side)
-            assert bipartite_complement(bipartite_complement(g, p), p) == g
+            assert bipartite_complement(bipartite_complement(g, side), side) == g
 
     @given(bipartite_graphs(max_n=10))
     def test_sizes_sum_to_grid(self, pair):
         g, side = pair
-        p = Bipartition(side, g.full_mask & ~side)
-        bc = bipartite_complement(g, p)
+        bc = bipartite_complement(g, side)
         assert g.size() + bc.size() == side.bit_count() * (g.n - side.bit_count())
 
 
@@ -315,6 +358,12 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("B??")
 
+    def test_36_bit_order_form_rejected(self):
+        # "~~" opens the six-byte order field of orders beyond 258047
+        with pytest.raises(Graph6Error,
+                           match="^graph6 orders beyond 18 bits are not supported$"):
+            parse_graph6("~~??????")
+
 
 class TestEdgeListFormat:
     def test_roundtrip(self, reference_10_3):
@@ -327,6 +376,10 @@ class TestEdgeListFormat:
     def test_more_edge_lines_than_header(self):
         with pytest.raises(ValueError, match="header declares 1 edges, found 3"):
             parse_edge_list("3 1\n0 1\n1 2\n0 2\n")
+
+    def test_edge_line_with_three_numbers(self):
+        with pytest.raises(ValueError, match=r"^bad edge line: '0 1 2'$"):
+            parse_edge_list("3 1\n0 1 2\n")
 
     @pytest.mark.parametrize("second", ["0 1", "1 0"])
     def test_repeated_edge(self, second):
@@ -471,6 +524,10 @@ class TestDot:
         g = from_edge_list(2, [(0, 1)])
         out = emit_dot(g, labels={0: "x1", 1: "b1,1"})
         assert 'label="x1"' in out and "0 -- 1;" in out
+
+    def test_numeric_names_without_labels(self):
+        g = from_edge_list(3, [(0, 2)])
+        assert emit_dot(g) == "graph G {\n  0;\n  1;\n  2;\n  0 -- 2;\n}\n"
 
 
 def _relabel(g, perm):

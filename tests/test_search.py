@@ -468,6 +468,14 @@ class TestPrefixCut:
             next(_double_lex_matrices(4, 4, 12, 4, deadline=5.0))
         assert solves == []
 
+    def test_deadline_checked_at_last_row(self, monkeypatch):
+        # at gamma = 2 no prefix is tested, so after the walk's start check
+        # only the last-row check stands before the first matrix
+        ticks = iter([0.0])
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
+        with pytest.raises(TimeoutError):
+            next(_double_lex_matrices(2, 2, 3, 2, deadline=5.0))
+
     @pytest.mark.parametrize("k,q,gamma", [(3, 3, 3), (3, 4, 3), (4, 3, 3), (4, 4, 3),
                                            (3, 4, 4), (4, 3, 4), (4, 4, 4)])
     def test_cut_prefixes_complete_to_no_witness(self, monkeypatch, k, q, gamma):
