@@ -60,8 +60,9 @@ def _exact_to_json(value):
 
 
 def _open_out(path: str):
-    """Open ``path`` for writing, creating it if missing but not truncating
-    it: the file keeps its content until ``_write_in_place`` writes over it.
+    """Open ``path`` for writing as an unbuffered binary file, creating it
+    if missing but not truncating it: the file keeps its content until
+    ``_write_in_place`` writes over it.
 
     On ext4, ``O_TRUNC`` on a file that holds data frees its blocks in the
     open and sets the replace-via-truncate heuristic (``auto_da_alloc``), so
@@ -72,7 +73,7 @@ def _open_out(path: str):
     leave it at its new length holding old bytes, or old and new mixed,
     where the truncating write left the new text or an empty file."""
     try:
-        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -82,27 +83,19 @@ def _write_in_place(out, path: str, text: str) -> None:
     its end; ``/dev/null`` and pipes cannot be truncated.
 
     A write that fails leaves a prefix of ``text`` and none of the old
-    bytes: the file is cut where the writing stopped, as far as it still
-    can be."""
+    bytes: the file is cut after the bytes written, as far as it still can
+    be."""
+    data = text.encode()
+    written = 0
     try:
-        out.write(text)
-        out.flush()
+        while written < len(data):
+            written += out.write(data[written:])
         if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate()
+            out.truncate(written)
     except OSError as exc:
-        fd = out.fileno()
         with suppress(OSError):
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-        # closed here, so that the caller's close does not retry the
-        # buffered rest and raise past this error
-        with suppress(OSError):
-            out.close()
+            out.truncate(written)
         raise CliError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    with _open_out(path) as out:
-        _write_in_place(out, path, text)
 
 
 def load_graph(path: str) -> Graph:
@@ -201,7 +194,9 @@ def cmd_construct(args) -> int:
 
     # render only where the text goes: --out, or stdout when not verifying
     if args.out is not None:
-        _write_text(args.out, _emit_graph(g, args.format, layout))
+        text = _emit_graph(g, args.format, layout)
+        with _open_out(args.out) as out:
+            _write_in_place(out, args.out, text)
     elif not args.verify:
         sys.stdout.write(_emit_graph(g, args.format, layout))
     if args.verify:

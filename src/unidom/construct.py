@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import phi
 from .domination import (
     closed_neighborhoods_disjoint,
     enumerate_minimum_dominating_sets,
@@ -59,29 +58,6 @@ class ConstructionLayout:
         return labels
 
 
-def _bipartite_parts(n: int, gamma: int):
-    """Vertex index layout for the bipartite family.
-
-    Fixed convention: dominators x_1..x_dx first, then y_1..y_dy, then the
-    pair-blocks b_{i,1}, b_{i,2}, then a_{j,1}, a_{j,2}, then c_1.., then
-    r_1.. in order.
-    """
-    dx = gamma // 2
-    dy = gamma - dx
-    c_count = min(n - 3 * gamma, 2 * dy - dx + 1)
-    r_count = phi(n, gamma)
-    assert 3 * gamma + c_count + r_count == n
-    xs = list(range(dx))
-    ys = list(range(dx, gamma))
-    bs = [(gamma + 2 * i, gamma + 2 * i + 1) for i in range(dx)]
-    a0 = gamma + 2 * dx
-    as_ = [(a0 + 2 * j, a0 + 2 * j + 1) for j in range(dy)]
-    c0 = 3 * gamma
-    cs = list(range(c0, c0 + c_count))
-    rs = list(range(c0 + c_count, n))
-    return xs, ys, bs, as_, cs, rs
-
-
 def _join(rows: list[int], left, right) -> None:
     """Add every edge between the disjoint vertex sequences ``left`` and
     ``right``: each row on one side gains the other side's mask."""
@@ -93,10 +69,30 @@ def _join(rows: list[int], left, right) -> None:
         rows[v] |= left_mask
 
 
-def _bipartite_rows(n: int, parts) -> list[int]:
-    """Adjacency rows of the bipartite family on the ``_bipartite_parts``
-    layout, joined stage by stage."""
-    xs, ys, bs, as_, cs, rs = parts
+def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
+    """Extremal bipartite graph with unique minimum dominating set of size
+    ``gamma`` on ``n`` vertices, together with its layout.
+
+    Vertices are numbered dominators x_1..x_dx first, then y_1..y_dy, then
+    the pair-blocks b_{i,1}, b_{i,2}, then a_{j,1}, a_{j,2}, then c_1..,
+    then r_1.. in order; the rows are joined stage by stage.
+    """
+    _check_vertex_count(n)
+    if gamma < 2:
+        raise ValueError("family requires gamma >= 2 (see construct_star)")
+    if n < 3 * gamma:
+        raise ValueError("family requires n >= 3*gamma")
+    dx = gamma // 2
+    dy = gamma - dx
+    xs = list(range(dx))
+    ys = list(range(dx, gamma))
+    bs = [(gamma + 2 * i, gamma + 2 * i + 1) for i in range(dx)]
+    a0 = gamma + 2 * dx
+    as_ = [(a0 + 2 * j, a0 + 2 * j + 1) for j in range(dy)]
+    # C takes what it can of the vertices past the skeleton, R the rest
+    r0 = 3 * gamma + min(n - 3 * gamma, 2 * dy - dx + 1)
+    cs = list(range(3 * gamma, r0))
+    rs = list(range(r0, n))
     ally = [a for pair in as_ for a in pair]
     x1_side = [b1 for (b1, _) in bs]
     r_prime = rs[0::2]
@@ -115,26 +111,11 @@ def _bipartite_rows(n: int, parts) -> list[int]:
     _join(rows, r_prime, [*cs, *x1_side, ys[0]])
     _join(rows, r_dprime, [*ally, xs[0]])
     _join(rows, r_prime, r_dprime)
-    return rows
-
-
-def construct_bipartite(n: int, gamma: int) -> tuple[Graph, ConstructionLayout]:
-    """Extremal bipartite graph with unique minimum dominating set of size
-    ``gamma`` on ``n`` vertices, together with its layout."""
-    _check_vertex_count(n)
-    if gamma < 2:
-        raise ValueError("family requires gamma >= 2 (see construct_star)")
-    if n < 3 * gamma:
-        raise ValueError("family requires n >= 3*gamma")
-    parts = _bipartite_parts(n, gamma)
-    g = Graph(n, tuple(_bipartite_rows(n, parts)))
-
-    xs, ys, bs, as_, cs, rs = parts
-    side_a = mask_of(xs) | mask_of(a for pair in as_ for a in pair) | mask_of(rs[0::2])
+    g = Graph(n, tuple(rows))
     layout = ConstructionLayout(
-        intended_dominators=mask_of(xs) | mask_of(ys),
-        partition=side_a,
-        groups=tuple(zip("xybacr", parts)),
+        intended_dominators=mask_of(xs + ys),
+        partition=mask_of(xs + ally + r_prime),
+        groups=tuple(zip("xybacr", (xs, ys, bs, as_, cs, rs))),
     )
     return g, layout
 

@@ -67,9 +67,10 @@ def _transpose_steps(w: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _is_symmetric(adj: tuple[int, ...]) -> bool:
-    """True iff the adjacency rows, each within range, form a symmetric
-    matrix: the packed rows equal their transpose."""
+def _asymmetric_pair(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), by row i and then column j, with j in row i
+    but i not in row j, or None: the lowest bit of the packed rows (bit j of
+    row i at i * w + j), each within range, that their transpose lacks."""
     w = 8
     while w < len(adj):
         w *= 2
@@ -80,7 +81,10 @@ def _is_symmetric(adj: tuple[int, ...]) -> bool:
     for shift, mask in _transpose_steps(w):
         x = (t ^ (t >> shift)) & mask
         t ^= x ^ (x << shift)
-    return t == m
+    diff = m & ~t
+    if not diff:
+        return None
+    return divmod((diff & -diff).bit_length() - 1, w)
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,8 @@ class Graph:
     """Immutable simple graph: ``adj[i]`` is the neighbor bitmask of vertex i.
 
     Construction checks every row for bits beyond the vertex range and for
-    a self-loop, then checks symmetry with one packed transpose; only a graph
-    that fails it is scanned edge by edge, to name an asymmetric pair.
+    a self-loop, then checks symmetry with one packed transpose, which also
+    names the first asymmetric pair when there is one.
     """
 
     n: int
@@ -105,13 +109,9 @@ class Graph:
                 raise ValueError(f"row {i} has bits beyond vertex range")
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        if _is_symmetric(self.adj):
-            return
-        for i in range(self.n):
-            for j in iter_bits(self.adj[i]):
-                if not (self.adj[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency between {i} and {j}")
-        raise AssertionError("the packed symmetry check and the edge scan disagree")
+        pair = _asymmetric_pair(self.adj)
+        if pair is not None:
+            raise ValueError("asymmetric adjacency between %d and %d" % pair)
 
     @property
     def full_mask(self) -> int:
@@ -277,11 +277,15 @@ def parse_graph6(text: str) -> Graph:
         body = vals[4:]
     if n > MAX_VERTICES:
         raise Graph6Error(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
-    need = (n * (n - 1) // 2 + 5) // 6
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
     if len(body) < need:
         raise Graph6Error("truncated bit payload")
     if len(body) > need:
         raise Graph6Error("trailing bytes after bit payload")
+    # the last byte pads the payload to a multiple of six bits with zeros
+    if need and body[-1] & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits after the bit payload")
     rows = [0] * n
     idx = 0
     for j in range(1, n):

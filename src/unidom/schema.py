@@ -63,11 +63,23 @@ def validate_report(doc) -> list[str]:
              "every min_sets entry must have gamma vertices")
     epn = doc.get("epn")
     _err(problems, isinstance(epn, dict) and all(
-        isinstance(k, str) and k.isdigit() and _is_vertex_list(v)
+        isinstance(k, str) and k.isascii() and k.isdigit() and _is_vertex_list(v)
         for k, v in epn.items()), "epn must map vertex strings to vertex lists")
     _err(problems, isinstance(doc.get("perfect"), bool), "perfect must be a bool")
     _err(problems, isinstance(doc.get("epn_condition"), bool),
          "epn_condition must be a bool")
+    if problems:
+        return problems
+    # the epn lists and both flags are read off the unique minimum set alone
+    if doc["unique"]:
+        _err(problems, set(epn) == {str(v) for v in sets[0]},
+             "epn keys must be exactly the vertices of the unique minimum set")
+        _err(problems, doc["epn_condition"] == all(len(v) >= 2 for v in epn.values()),
+             "epn_condition must hold exactly when every epn list has at least 2 vertices")
+    else:
+        _err(problems, epn == {} and not doc["perfect"] and not doc["epn_condition"],
+             "without a unique minimum set, epn must be empty and perfect and "
+             "epn_condition false")
     return problems
 
 

@@ -37,11 +37,11 @@ completions that test would all reject (see ``_double_lex_matrices``), so
 the witnesses come in the same order as over the full double-lex sequence.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
-serves both searches: it takes edge-count levels in nonincreasing order and
-scans each over every side split.  The maximum search passes every edge
-count, densest first, so the first level with a witness is the maximum and
-every sparser block is skipped; the witness count passes its one edge
-count.  ``graphs_scanned`` reports the labeled masks of the side-fixed
+serves both searches and scans each edge-count level over every side
+split.  The witness count passes its one edge count.  The maximum search
+passes none, and the driver takes every edge count, densest first, so the
+first level with a witness is the maximum and every sparser block is
+skipped.  ``graphs_scanned`` reports the labeled masks of the side-fixed
 space that a run accounts for, and ``masks_visited`` the matrices the walk
 reached; one under a cut prefix, or skipped by a lex-leader rule, is
 accounted for, not reached.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 # _exists_cover stays bound here because perfbench/spans.py wraps it in this module
 from .domination import _enumerate_covers, _exists_cover, check_epn_condition
@@ -312,12 +312,12 @@ def _merge_classes(classes: list[tuple[str, Graph]],
             classes.append((g6, g))
 
 
-def _search(n: int, gamma: int, sizes: Iterable[int],
+def _search(n: int, gamma: int, size: Optional[int],
             budget: Optional[float], *, stop_on_first: bool,
-            progress: Optional[Callable[[int, int], None]],
-            size: Optional[int] = None) -> SearchResult:
-    """Scan the edge counts in ``sizes``, which must not increase, each over
-    every side split k <= n/2 that can hold it, k ascending.
+            progress: Optional[Callable[[int, int], None]]) -> SearchResult:
+    """Scan the edge count ``size``, or every edge count densest first when
+    ``size`` is None, each over every side split k <= n/2 that can hold it,
+    k ascending.
 
     The first size with a witness is the largest one, since every denser
     level has finished without one, so ``best`` is set once and the classes
@@ -331,7 +331,9 @@ def _search(n: int, gamma: int, sizes: Iterable[int],
     classes: list[tuple[str, Graph]] = []
     index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
     complete = True
-    blocks = ((k, s) for s in sizes for k in range(n // 2 + 1) if s <= k * (n - k))
+    # no split k <= n/2 holds more than floor(n^2 / 4) edges
+    levels = range(n * n // 4, -1, -1) if size is None else (size,)
+    blocks = ((k, s) for s in levels for k in range(n // 2 + 1) if s <= k * (n - k))
     for k, s in blocks:
         block_size = comb(k * (n - k), s)
         if s < best or (stop_on_first and s == best):
@@ -402,8 +404,8 @@ def max_umd_bipartite_size(n: int, gamma: int, budget: Optional[float] = None, *
     and the maximum from then on.
     """
     check_search_args(n, gamma, budget=budget)
-    return _search(n, gamma, range((n // 2) * (n - n // 2), -1, -1), budget,
-                   stop_on_first=not collect_witnesses, progress=progress)
+    return _search(n, gamma, None, budget, stop_on_first=not collect_witnesses,
+                   progress=progress)
 
 
 def count_extremal_witnesses(n: int, gamma: int, size: int,
@@ -413,5 +415,4 @@ def count_extremal_witnesses(n: int, gamma: int, size: int,
     """Count isomorphism classes of bipartite graphs with the given order,
     domination number, unique minimum dominating set, and exact size."""
     check_search_args(n, gamma, size, budget)
-    return _search(n, gamma, (size,), budget,
-                   stop_on_first=False, progress=progress, size=size)
+    return _search(n, gamma, size, budget, stop_on_first=False, progress=progress)

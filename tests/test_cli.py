@@ -11,11 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unidom import cli, emit_dot, emit_edge_list, emit_graph6, from_edge_list, parse_graph6
+from unidom import (
+    cli,
+    emit_dot,
+    emit_edge_list,
+    emit_graph6,
+    from_edge_list,
+    is_umd,
+    parse_graph6,
+)
 from unidom.cli import main
-from unidom.schema import validate_document
+from unidom.schema import validate_document, validate_report
 
 from conftest import (
+    graphs,
     reference_bipartite_edge_groups,
     reference_bipartite_layout,
     reference_fischermann_edges,
@@ -525,7 +534,8 @@ class TestFilesWrittenInPlace:
         assert parse_graph6(g.read_text().strip()).size() == 6
 
     def test_failed_write_leaves_only_a_prefix(self, capsys, tmp_path, monkeypatch):
-        # the raw file takes 10 bytes and then fails, as on a full disk
+        # the file takes 10 bytes and then fails, as on a full disk; it stands
+        # in for the unbuffered binary file the CLI opens
         class FullAfter10(io.FileIO):
             def write(self, data):
                 room = 10 - self.tell()
@@ -533,8 +543,8 @@ class TestFilesWrittenInPlace:
                     raise OSError(28, "No space left on device")
                 return super().write(bytes(data)[:room])
 
-        monkeypatch.setattr(cli, "open", lambda fd, mode: io.TextIOWrapper(
-            io.BufferedWriter(FullAfter10(fd, "w"))), raising=False)
+        monkeypatch.setattr(cli, "open", lambda fd, mode, buffering: FullAfter10(fd, "w"),
+                            raising=False)
         target = tmp_path / "w.g6"
         target.write_text("x" * 1000 + "\n")
         code, out, err = run(capsys, ["search", "--n", "8", "--gamma", "2",
@@ -824,7 +834,8 @@ _VALID = {
               "m_bipartite": 9, "m_fischermann": 9, "vizing": "21/2", "phi": 0},
     "verify": {"schema": "unidom/1", "kind": "verify", "ok": True,
                "report": {"gamma": 2, "unique": True, "min_sets": [[0, 1]],
-                          "epn": {"0": [2]}, "perfect": True, "epn_condition": True},
+                          "epn": {"0": [2, 3], "1": [4, 5]}, "perfect": True,
+                          "epn_condition": True},
                "warnings": [], "expectations": {}},
     "search": {"schema": "unidom/1", "kind": "search", "n": 6, "gamma": 2,
                "max_size": 6, "witnesses": ["ECr_"], "graphs_scanned": 5,
@@ -923,6 +934,38 @@ def test_schema_checks_verdict_consistency(kind, fields, report, message):
         assert any(message in p for p in problems), problems
 
 
+@pytest.mark.parametrize("report, message", [
+    ({"epn": {"\u00b2": [2, 3], "1": [4, 5]}}, "vertex strings"),
+    ({"epn": {"0": [2, 3], "\u0663": [4, 5]}}, "vertex strings"),
+    ({"epn": {"0": [2, 3], "5": [4, 5]}}, "epn keys must be exactly"),
+    ({"epn": {"0": [2, 3]}}, "epn keys must be exactly"),
+    ({"epn": {"0": [2, 3], "01": [4, 5]}}, "epn keys must be exactly"),
+    ({"epn": {"0": [2, 3], "1": [4, 5], "2": [6, 7]}}, "epn keys must be exactly"),
+    ({"gamma": 1, "min_sets": [[0]], "epn": {"5": [1]}, "perfect": False,
+      "epn_condition": False}, "epn keys must be exactly"),
+    ({"epn": {"0": [2], "1": [4, 5]}}, "epn_condition must hold exactly"),
+    ({"epn": {"0": [2], "1": [4, 5]}, "epn_condition": False}, None),
+    ({"epn_condition": False}, "epn_condition must hold exactly"),
+    ({"perfect": False}, None),
+    (_TWO_SETS, None),
+    ({**_TWO_SETS, "epn": {"0": [2, 3]}}, "without a unique minimum set"),
+    ({**_TWO_SETS, "perfect": True}, "without a unique minimum set"),
+    ({**_TWO_SETS, "epn_condition": True}, "without a unique minimum set"),
+])
+def test_schema_ties_the_report_to_its_minimum_sets(report, message):
+    problems = validate_report({**_VALID["verify"]["report"], **report})
+    if message is None:
+        assert problems == []
+    else:
+        assert any(message in p for p in problems), problems
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_schema_accepts_every_report_is_umd_makes(g):
+    assert validate_report(is_umd(g).to_json()) == []
+
+
 @pytest.mark.parametrize("doc, problem", [
     ([], "document must be an object"),
     ({"schema": "unidom/1", "kind": "nope"}, "unknown document kind: 'nope'"),
@@ -1008,6 +1051,27 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "2 lines" in err
+
+    @pytest.mark.parametrize("command", ["verify", "iso", "complement"])
+    def test_graph6_padding_bits_are_usage_error(self, capsys, tmp_path, command):
+        # 'A@' would read as the edgeless 'A?' if its padding bit were ignored
+        path = tmp_path / "pad.g6"
+        path.write_text("A@\n")
+        edgeless = tmp_path / "edgeless.g6"
+        edgeless.write_text("A?\n")
+        argv = {"verify": ["verify", "--in", str(path), "--json"],
+                "iso": ["iso", str(path), str(edgeless)],
+                "complement": ["complement", "--in", str(path)]}[command]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (
+            2, "", f"error: {path}: nonzero padding bits after the bit payload\n")
+
+    def test_graph6_order_above_the_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "big.g6"
+        path.write_text("~?@@\n")
+        code, out, err = run(capsys, ["verify", "--in", str(path)])
+        assert (code, out, err) == (
+            2, "", f"error: {path}: order 65 exceeds the 64-vertex cap\n")
 
     def test_bad_edge_list_header_is_not_graph6(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -109,16 +109,17 @@ class TestBipartiteFamily:
         assert a == b and la == lb
 
     def test_layout_counts(self):
-        for gamma in range(2, 7):
-            for n in (3 * gamma, 3 * gamma + 2, 3 * gamma + 9):
-                _, layout = construct_bipartite(n, gamma)
-                letters = label_letters(layout)
-                assert letters["x"] == gamma // 2
-                assert letters["y"] == (gamma + 1) // 2
-                assert letters["b"] == 2 * (gamma // 2)
-                assert letters["a"] == 2 * ((gamma + 1) // 2)
-                assert letters["r"] == phi(n, gamma)
-                assert layout.intended_dominators.bit_count() == gamma
+        # the builder sizes C and R on its own; phi is the count the bound uses
+        for n, gamma in FAMILY_GRID:
+            _, layout = construct_bipartite(n, gamma)
+            letters = label_letters(layout)
+            assert letters["x"] == gamma // 2
+            assert letters["y"] == (gamma + 1) // 2
+            assert letters["b"] == 2 * (gamma // 2)
+            assert letters["a"] == 2 * ((gamma + 1) // 2)
+            assert letters["r"] == phi(n, gamma)
+            assert letters["c"] == n - 3 * gamma - phi(n, gamma)
+            assert layout.intended_dominators.bit_count() == gamma
 
 
 @pytest.mark.parametrize("n, gamma", FAMILY_GRID)

@@ -111,9 +111,21 @@ def symmetric_rows(draw):
     return rows
 
 
+def first_asymmetric_pair(rows):
+    """The pair an edge-by-edge scan in row order names first: the smallest
+    row i, then the smallest j in it, with i missing from row j; None when
+    the rows are symmetric."""
+    for i, row in enumerate(rows):
+        for j in bit_list(row):
+            if not (rows[j] >> i) & 1:
+                return i, j
+    return None
+
+
 class TestRowChecks:
     """``Graph`` checks its rows on construction: range, self-loops, and
-    symmetry by one packed transpose, with the edge scan only to name a pair."""
+    symmetry by one packed transpose, which also names the first asymmetric
+    pair, the one a row-order edge scan would find first."""
 
     @given(symmetric_rows())
     @settings(max_examples=120, deadline=None)
@@ -133,6 +145,23 @@ class TestRowChecks:
                                      str(info.value)).groups())
         assert {a, b} == {i, j}
         assert (rows[a] >> b) & 1 != (rows[b] >> a) & 1
+
+    @given(symmetric_rows().filter(lambda rows: len(rows) >= 2), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_named_pair_is_the_first_a_row_order_scan_finds(self, rows, data):
+        n = len(rows)
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda c: c[0] != c[1])
+        for i, j in data.draw(st.lists(cell, min_size=1, max_size=4, unique=True)):
+            rows[i] ^= 1 << j
+        pair = first_asymmetric_pair(rows)
+        if pair is None:
+            # flipping both (i, j) and (j, i) leaves the rows symmetric
+            assert Graph(n, tuple(rows)).adj == tuple(rows)
+        else:
+            with pytest.raises(ValueError,
+                               match="^asymmetric adjacency between %d and %d$" % pair):
+                Graph(n, tuple(rows))
 
     @given(symmetric_rows().filter(lambda rows: len(rows) >= 1), st.data())
     @settings(max_examples=80, deadline=None)
@@ -358,6 +387,19 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("B??")
 
+    def test_nonzero_padding_bits_rejected(self):
+        # order 2 has one payload bit; '@' is 000001, so its last padding bit
+        # is set, and ignoring it would read the edgeless 'A?'
+        with pytest.raises(Graph6Error,
+                           match="^nonzero padding bits after the bit payload$"):
+            parse_graph6("A@")
+
+    @pytest.mark.parametrize("payload", ["", "?" * 347])
+    def test_order_above_the_cap_rejected(self, payload):
+        # '~?@@' is order 65 in the long form; 347 bytes hold its 2080 bits
+        with pytest.raises(Graph6Error, match="^order 65 exceeds the 64-vertex cap$"):
+            parse_graph6("~?@@" + payload)
+
     def test_36_bit_order_form_rejected(self):
         # "~~" opens the six-byte order field of orders beyond 258047
         with pytest.raises(Graph6Error,
@@ -447,6 +489,15 @@ class TestParserProperties:
     def test_graph6_trailing_payload(self, g, extra):
         with pytest.raises(Graph6Error, match="trailing"):
             parse_graph6(emit_graph6(g) + chr(extra))
+
+    @given(any_order_graphs().filter(lambda g: g.n * (g.n - 1) // 2 % 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_graph6_padding_bits_must_be_zero(self, g, data):
+        s = emit_graph6(g)
+        pad = -(g.n * (g.n - 1) // 2) % 6
+        bit = data.draw(st.integers(0, pad - 1))
+        with pytest.raises(Graph6Error, match="padding"):
+            parse_graph6(s[:-1] + chr(63 + ((ord(s[-1]) - 63) | 1 << bit)))
 
     @given(any_order_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
