@@ -10,10 +10,12 @@ a unique minimum set: the search's one solve per matrix.  One deepening,
 ``ceil(n / (Delta + 1))`` and a greedy 2-packing (gamma on both extremal
 constructions) up to the first ``k`` that finds a set: gamma.
 
-Every node takes one step: ``_last_picks`` with one pick left, else
-``_branch_step``, whose one lower bound is a 2-packing: undominated vertices
-whose remaining options are pairwise disjoint each need a dominator of their
-own.  It never exceeds the true cost, so no dominating set is lost.  Banning,
+Every node reads its undominated vertices once.  With one pick left it
+intersects their closed neighborhoods; otherwise the same pass gives its one
+lower bound, its branch vertex and, where the memo keys it, its key.  The
+bound is a 2-packing: undominated vertices whose remaining options are
+pairwise disjoint each need a dominator of their own.  It never exceeds the
+true cost, so no dominating set is lost.  Banning,
 a tight-packing cut and a failure memo (see ``_exists_cover``) cut the cap-2
 proof on the Fischermann family from 1.5 * 2^gamma nodes to 6 * gamma - 3.
 Private-neighborhood predicates round out the module, with one test for
@@ -64,50 +66,6 @@ def _packing_size(closed: list[int]) -> int:
     return packed
 
 
-def _last_picks(closed: list[int], undom: int, allowed: int) -> int:
-    """The ``allowed`` vertices whose closed neighborhood holds all of ``undom``:
-    the candidates that finish the cover with one pick."""
-    m = undom
-    while m:
-        low = m & -m
-        m ^= low
-        allowed &= closed[low.bit_length() - 1]
-    return allowed
-
-
-def _branch_step(closed: list[int], undom: int, banned: int,
-                 k: int) -> tuple[int, int, int] | None:
-    """Bound one search node, and choose its branch vertex.
-
-    ``undom`` is what is left to dominate with at most ``k`` more picks, none
-    of them from ``banned``.  Returns None when the packing bound shows that
-    ``k`` picks cannot do it, or when some undominated vertex has no unbanned
-    option left.  Otherwise returns ``(branch_v, packed, used)``: the
-    undominated vertex with the fewest unbanned options (the lowest-numbered
-    one on ties), and the size and union of a greedy packing of pairwise
-    disjoint option sets taken in bit order.
-    """
-    branch_v, branch_opts = -1, 1 << 30
-    used, packed = 0, 0
-    m = undom
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        opts = closed[v] & ~banned
-        if not opts & used:
-            packed += 1
-            if packed > k:
-                return None
-            used |= opts
-        c = opts.bit_count()
-        if c < branch_opts:
-            if c == 0:
-                return None
-            branch_v, branch_opts = v, c
-    return branch_v, packed, used
-
-
 @dataclass(slots=True)
 class _Covers:
     """One cover search's cap, covers found and failure memo."""
@@ -123,12 +81,20 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
     ``chosen`` by at most ``k`` picks outside ``banned``, one inside each, and
     return True once the cap is reached.
 
-    Branching fixes the lowest-numbered candidate that dominates the chosen
-    undominated vertex and bans the alternatives already tried, so every
-    cover is found once.  Two exact shortcuts keep the uncapped collection
-    but not the branch order: the tight-packing cut never tries, and so
-    never bans, a candidate outside ``used``, so a capped run may collect
-    other sets than the plain branching.
+    A node with one pick left takes the unbanned candidates whose closed
+    neighborhood holds every undominated vertex.  Any other node reads its
+    undominated vertices once, in bit order, packing their unbanned options
+    greedily (a set joins when it misses the union ``used`` so far).  It is
+    cut once the packing owes more than the ``k`` picks left, which never
+    exceeds the true cost, or when a vertex has no option left, and it
+    branches on the vertex with the fewest options, the lowest on ties.
+
+    Branching fixes the lowest-numbered candidate that dominates the branch
+    vertex and bans the alternatives already tried, so every cover is found
+    once.  Two exact shortcuts keep the uncapped collection but not the
+    branch order: the tight-packing cut never tries, and so never bans, a
+    candidate outside ``used``, so a capped run may collect other sets than
+    the plain branching.
 
     * Tight packing.  When the packing of the residue owes exactly the ``k``
       picks left, each pick must fall in a different packed option set, so
@@ -137,10 +103,11 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
     * Failure memo.  Below the root (``chosen`` is not empty), a state is the
       residual hitting-set problem ``(k, {closed[v] & allowed : v undominated})``,
       with ``allowed`` the unbanned candidates (cut to ``used`` when the packing
-      is tight).  Whether it has a solution depends on that key alone, so a
-      key whose subtree found no set is recorded and pruned when it recurs.
-      The root never recurs, and a state with at most two picks left costs
-      no more to solve again than to key, so neither is recorded.
+      is tight); the same pass collects those rows.  Whether it has a solution
+      depends on that key alone, so a key whose subtree found no set is
+      recorded and pruned when it recurs.  The root never recurs, and a state
+      with at most two picks left costs no more to solve again than to key, so
+      neither is recorded.
     """
     found = covers.found
     if dominated == full:
@@ -148,7 +115,12 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
         return len(found) >= covers.cap
     undom = full & ~dominated
     if k == 1:
-        last = _last_picks(closed, undom, full & ~banned)
+        last = full & ~banned
+        m = undom
+        while m:
+            low = m & -m
+            m ^= low
+            last &= closed[low.bit_length() - 1]
         while last:
             low = last & -last
             found.append(chosen | low)
@@ -156,22 +128,35 @@ def _exists_cover(closed: list[int], full: int, k: int, dominated: int,
                 return True
             last ^= low
         return False
-    step = _branch_step(closed, undom, banned, k)
-    if step is None:
-        return False
-    branch_v, packed, used = step
+    keyed = k > 2 and chosen
+    rows = []
+    branch_v, branch_opts = -1, 1 << 30
+    used, packed = 0, 0
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        opts = closed[v] & ~banned
+        if not opts & used:
+            packed += 1
+            if packed > k:
+                return False
+            used |= opts
+        c = opts.bit_count()
+        if c < branch_opts:
+            if c == 0:
+                return False
+            branch_v, branch_opts = v, c
+        if keyed:
+            rows.append(opts)
     allowed = full & ~banned
     if packed == k:
         allowed &= used
     key = None
-    if k > 2 and chosen:
-        rows = []
-        m = undom
-        while m:
-            low = m & -m
-            m ^= low
-            rows.append(closed[low.bit_length() - 1] & allowed)
-        key = (k, frozenset(rows))
+    if keyed:
+        # each row is closed[v] & ~banned; a tight packing narrows it to used
+        key = (k, frozenset(rows) if packed < k else frozenset(r & used for r in rows))
         if key in covers.failed:
             return False
     hits = len(found)

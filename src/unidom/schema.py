@@ -26,7 +26,9 @@ def _is_int(x) -> bool:
 
 
 def _is_vertex_list(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) and v >= 0 for v in x)
+    # a vertex set, listed once per vertex in increasing order
+    return (isinstance(x, list) and all(_is_int(v) and v >= 0 for v in x)
+            and all(u < v for u, v in zip(x, x[1:])))
 
 
 def _is_exact_number(x) -> bool:
@@ -56,7 +58,9 @@ def validate_report(doc) -> list[str]:
     _err(problems, isinstance(doc.get("unique"), bool), "unique must be a bool")
     sets = doc.get("min_sets")
     if _err(problems, isinstance(sets, list) and all(_is_vertex_list(s) for s in sets),
-            "min_sets must be a list of vertex lists"):
+            "min_sets must be a list of increasing vertex lists"):
+        _err(problems, len({tuple(s) for s in sets}) == len(sets),
+             "min_sets entries must be distinct")
         _err(problems, doc.get("unique") == (len(sets) == 1),
              "unique must hold exactly when min_sets has one set")
         _err(problems, all(len(s) == doc.get("gamma") for s in sets),
@@ -64,7 +68,7 @@ def validate_report(doc) -> list[str]:
     epn = doc.get("epn")
     _err(problems, isinstance(epn, dict) and all(
         isinstance(k, str) and k.isascii() and k.isdigit() and _is_vertex_list(v)
-        for k, v in epn.items()), "epn must map vertex strings to vertex lists")
+        for k, v in epn.items()), "epn must map vertex strings to increasing vertex lists")
     _err(problems, isinstance(doc.get("perfect"), bool), "perfect must be a bool")
     _err(problems, isinstance(doc.get("epn_condition"), bool),
          "epn_condition must be a bool")
@@ -74,6 +78,10 @@ def validate_report(doc) -> list[str]:
     if doc["unique"]:
         _err(problems, set(epn) == {str(v) for v in sets[0]},
              "epn keys must be exactly the vertices of the unique minimum set")
+        # a private neighbor lies outside the set and has exactly one dominator
+        private = [v for vs in epn.values() for v in vs]
+        _err(problems, len(set(private)) == len(private) and not set(private) & set(sets[0]),
+             "epn lists must be pairwise disjoint and avoid the unique minimum set")
         _err(problems, doc["epn_condition"] == all(len(v) >= 2 for v in epn.values()),
              "epn_condition must hold exactly when every epn list has at least 2 vertices")
     else:

@@ -13,9 +13,11 @@ of matrices", 1987), so no graph is missed; witnesses are still merged into
 classes by isomorphism, since several double-lex matrices can describe the
 same graph.  Each witness is color-refined once into an isomorphism-invariant
 key, and the exact match runs only against the class representatives that
-share its key.  The tests check this enumeration against the unreduced scan
-of every labeled mask for all small orders, and against a Burnside count of
-the matrices up to row and column permutations for larger ones.
+share its key.  A witness stays a ``Graph`` until its class is final: graph6
+is written once per class, for the result.  The tests check this
+enumeration against the unreduced scan of every labeled mask for all small
+orders, and against a Burnside count of the matrices up to row and column
+permutations for larger ones.
 
 The walk also skips double-lex matrices that cannot be the lex-max member
 of their orbit under row and column permutations, the matrix read as its
@@ -266,16 +268,16 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
 
 
 def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
-                deadline: Optional[float]) -> tuple[list[tuple[str, Graph]], int, bool]:
+                deadline: Optional[float]) -> tuple[list[Graph], int, bool]:
     """Scan the double-lex k x (n-k) biadjacency matrices with exactly s
     edges that the walk reaches.
 
-    Returns (witnesses found, matrices reached, timed out).  A witness is an
+    Returns (witness graphs found, matrices reached, timed out).  A witness is an
     isolated-vertex-free graph whose domination number is exactly ``gamma``
     realized by a unique minimum set.
     """
     full = (1 << n) - 1
-    found: list[tuple[str, Graph]] = []
+    found: list[Graph] = []
     visited = 0
     try:
         for closed in _double_lex_matrices(k, n - k, s, gamma, deadline):
@@ -286,7 +288,7 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
                 continue
             g = Graph(n, tuple(c ^ (1 << v) for v, c in enumerate(closed)))
             _assert_unique_domination_properties(g, gamma, sets[0])
-            found.append((emit_graph6(g), g))
+            found.append(g)
             if stop_on_first:
                 return found, visited, False
     except TimeoutError:
@@ -294,8 +296,7 @@ def _scan_block(n: int, k: int, s: int, gamma: int, *, stop_on_first: bool,
     return found, visited, False
 
 
-def _merge_classes(classes: list[tuple[str, Graph]],
-                   found: list[tuple[str, Graph]],
+def _merge_classes(classes: list[Graph], found: list[Graph],
                    index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]]) -> None:
     """Append to ``classes`` each found witness isomorphic to no class yet.
 
@@ -304,12 +305,12 @@ def _merge_classes(classes: list[tuple[str, Graph]],
     and matched only against those.  The first-found member of a class stays
     its representative.
     """
-    for g6, g in found:
+    for g in found:
         key, colors = _refine(g)
         reps = index.setdefault(key, [])
         if not any(_match(g, colors, rep, rep_colors) for rep, rep_colors in reps):
             reps.append((g, colors))
-            classes.append((g6, g))
+            classes.append(g)
 
 
 def _search(n: int, gamma: int, size: Optional[int],
@@ -328,7 +329,7 @@ def _search(n: int, gamma: int, size: Optional[int],
     best = -1
     scanned = 0
     masks_visited = 0
-    classes: list[tuple[str, Graph]] = []
+    classes: list[Graph] = []
     index: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
     complete = True
     # no split k <= n/2 holds more than floor(n^2 / 4) edges
@@ -362,7 +363,7 @@ def _search(n: int, gamma: int, size: Optional[int],
         n=n,
         gamma=gamma,
         max_size=best if best >= 0 else None,
-        witnesses=sorted(g6 for g6, _ in classes),
+        witnesses=sorted(emit_graph6(g) for g in classes),
         graphs_scanned=scanned,
         masks_visited=masks_visited,
         elapsed=time.monotonic() - start,

@@ -108,6 +108,113 @@ def assert_unique_domination_theory(g: Graph, gamma: int, dset: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# reference cover recursion: the solver's node taken in two helpers, with a
+# second pass over the undominated vertices for the memo key.  It fixes the
+# covers and the node count that the one-pass node must reproduce.
+
+
+def _reference_last_picks(closed: list[int], undom: int, allowed: int) -> int:
+    """The ``allowed`` vertices whose closed neighborhood holds all of ``undom``."""
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        allowed &= closed[low.bit_length() - 1]
+    return allowed
+
+
+def _reference_branch_step(closed: list[int], undom: int, banned: int,
+                           k: int) -> tuple[int, int, int] | None:
+    """None when the bit-order packing of the unbanned options owes more than
+    ``k`` picks or a vertex has no option; else (branch vertex, packed, used)."""
+    branch_v, branch_opts = -1, 1 << 30
+    used, packed = 0, 0
+    m = undom
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        opts = closed[v] & ~banned
+        if not opts & used:
+            packed += 1
+            if packed > k:
+                return None
+            used |= opts
+        c = opts.bit_count()
+        if c < branch_opts:
+            if c == 0:
+                return None
+            branch_v, branch_opts = v, c
+    return branch_v, packed, used
+
+
+@dataclass
+class _ReferenceCovers:
+    cap: float
+    found: list[int]
+    failed: set
+    nodes: int = 0
+
+
+def _reference_exists_cover(closed: list[int], full: int, k: int, dominated: int,
+                            banned: int, chosen: int, covers: _ReferenceCovers) -> bool:
+    covers.nodes += 1
+    found = covers.found
+    if dominated == full:
+        found.append(chosen)
+        return len(found) >= covers.cap
+    undom = full & ~dominated
+    if k == 1:
+        last = _reference_last_picks(closed, undom, full & ~banned)
+        while last:
+            low = last & -last
+            found.append(chosen | low)
+            if len(found) >= covers.cap:
+                return True
+            last ^= low
+        return False
+    step = _reference_branch_step(closed, undom, banned, k)
+    if step is None:
+        return False
+    branch_v, packed, used = step
+    allowed = full & ~banned
+    if packed == k:
+        allowed &= used
+    key = None
+    if k > 2 and chosen:
+        rows = []
+        m = undom
+        while m:
+            low = m & -m
+            m ^= low
+            rows.append(closed[low.bit_length() - 1] & allowed)
+        key = (k, frozenset(rows))
+        if key in covers.failed:
+            return False
+    hits = len(found)
+    m = closed[branch_v] & allowed
+    while m:
+        low = m & -m
+        m ^= low
+        if _reference_exists_cover(closed, full, k - 1,
+                                   dominated | closed[low.bit_length() - 1],
+                                   banned, chosen | low, covers):
+            return True
+        banned |= low
+    if key is not None and len(found) == hits:
+        covers.failed.add(key)
+    return False
+
+
+def reference_enumerate_covers(closed: list[int], full: int, size: int,
+                               cap: int | None = None) -> tuple[list[int], int]:
+    """(sorted covers of at most ``size`` picks stopped at ``cap``, recursion nodes)."""
+    covers = _ReferenceCovers(float("inf") if cap is None else cap, [], set())
+    _reference_exists_cover(closed, full, size, 0, 0, 0, covers)
+    return sorted(covers.found), covers.nodes
+
+
+# ---------------------------------------------------------------------------
 # proof helpers and cross-check formulas that feed no command of the package,
 # checked here on their own
 

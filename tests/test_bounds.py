@@ -68,7 +68,7 @@ def gamma2_placement_maxima(n):
             if s > k * (n - k):
                 continue
             found, _, _ = _scan_block(n, k, s, 2, stop_on_first=False, deadline=None)
-            for _, g in found:
+            for g in found:
                 report = is_umd(g)
                 assert report.unique and report.gamma == 2
                 for placement in _placements(g, report.min_sets[0]):

@@ -951,6 +951,14 @@ def test_schema_checks_verdict_consistency(kind, fields, report, message):
     ({**_TWO_SETS, "epn": {"0": [2, 3]}}, "without a unique minimum set"),
     ({**_TWO_SETS, "perfect": True}, "without a unique minimum set"),
     ({**_TWO_SETS, "epn_condition": True}, "without a unique minimum set"),
+    # vertex lists are sets in increasing order, and a private neighbor has
+    # one dominator, outside the set
+    ({"min_sets": [[0, 0]], "epn": {"0": [0, 0]}}, "increasing vertex lists"),
+    ({"min_sets": [[1, 0]], "epn": {"0": [3, 2], "1": [3, 2]}}, "increasing vertex lists"),
+    ({"epn": {"0": [3, 2], "1": [4, 5]}}, "increasing vertex lists"),
+    ({"epn": {"0": [2, 3], "1": [3, 4]}}, "pairwise disjoint"),
+    ({"epn": {"0": [1, 2], "1": [4, 5]}}, "avoid the unique minimum set"),
+    ({**_TWO_SETS, "min_sets": [[0, 1], [0, 1]]}, "must be distinct"),
 ])
 def test_schema_ties_the_report_to_its_minimum_sets(report, message):
     problems = validate_report({**_VALID["verify"]["report"], **report})

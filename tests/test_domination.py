@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,9 @@ from unidom.construct import (
     verify_construction,
 )
 from unidom.domination import (
-    _branch_step,
+    _Covers,
     _enumerate_covers,
     _exists_cover,
-    _last_picks,
     _minimum_covers,
     _packing_size,
     closed_neighborhoods,
@@ -46,6 +46,7 @@ from conftest import (
     perfect_by_degree_sum,
     perfect_by_structure,
     random_graph,
+    reference_enumerate_covers,
 )
 
 
@@ -359,51 +360,133 @@ class TestPackingBound:
                     assert domination_number(g) == gamma
 
 
-class TestNodeStep:
-    """The node step of the cover recursion."""
+def node_children(monkeypatch, closed, undom, banned, k):
+    """The ``chosen`` of each child one node of ``_exists_cover`` calls, in
+    order: the node's own step, with every child answering False at once."""
+    full = (1 << len(closed)) - 1
+    children = []
 
-    def test_packing_cut_without_coverage_cut(self):
+    def child(closed, full, k, dominated, banned, chosen, covers):
+        children.append(chosen)
+        return False
+
+    # this module's binding stays the real node; its recursion calls the stub
+    monkeypatch.setattr("unidom.domination._exists_cover", child)
+    assert _exists_cover(closed, full, k, full & ~undom, banned, 0, _Covers(inf)) is False
+    return children
+
+
+def last_picks(closed, undom, allowed):
+    """The covers a node with one pick left collects from an empty ``chosen``."""
+    full = (1 << len(closed)) - 1
+    covers = _Covers(inf)
+    _exists_cover(closed, full, 1, full & ~undom, full & ~allowed, 0, covers)
+    return covers.found
+
+
+class TestNodeStep:
+    """The node step of the cover recursion, seen through the children a
+    node calls."""
+
+    def test_packing_cut_without_coverage_cut(self, monkeypatch):
         # a star on 0..4 and two isolated vertices: the center covers five of
         # the seven, so a coverage count allows two picks, but the options of
         # 0, 5 and 6 are pairwise disjoint and need three
         g = from_edge_list(7, [(0, v) for v in range(1, 5)])
         closed = closed_neighborhoods(g)
         assert max(c.bit_count() for c in closed) == 5
-        assert _branch_step(closed, g.full_mask, 0, 2) is None
+        assert node_children(monkeypatch, closed, g.full_mask, 0, 2) == []
         # with three picks: branch on 5, the first vertex with one option
-        assert _branch_step(closed, g.full_mask, 0, 3) == (5, 3, g.full_mask)
+        assert node_children(monkeypatch, closed, g.full_mask, 0, 3) == [1 << 5]
 
-    def test_coverage_cut_without_packing_cut(self):
+    def test_coverage_cut_without_packing_cut(self, monkeypatch):
         # P4 6-0-2-3 and P3 1-4-5: no vertex covers more than three of the
         # seven, so a coverage count would cut two picks at the root, but the
         # node step keeps only the packing bound, and the packing in bit order
-        # (the options of 0, then of 1) is 2; the children cut instead, and
-        # the recursion finds no cover of two
+        # (the options of 0, then of 1) is 2; the root branches on 1, and the
+        # children cut instead: the recursion finds no cover of two
         g = from_edge_list(7, [(6, 0), (0, 2), (2, 3), (1, 4), (4, 5)])
         closed = closed_neighborhoods(g)
-        assert _branch_step(closed, g.full_mask, 0, 2) == (1, 2, 0b1010111)
-        assert _branch_step(closed, g.full_mask, 0, 3) == (1, 2, 0b1010111)
+        assert node_children(monkeypatch, closed, g.full_mask, 0, 2) == [0b10, 0b10000]
+        assert node_children(monkeypatch, closed, g.full_mask, 0, 3) == [0b10, 0b10000]
+        monkeypatch.undo()
         assert _enumerate_covers(closed, g.full_mask, 2, cap=1) == []
         assert domination_number(g) == 3
 
-    def test_no_option_left(self):
+    def test_no_option_left(self, monkeypatch):
         closed = closed_neighborhoods(path(3))
         # vertex 0 is dominated only by 0 and 1, and both are banned
-        assert _branch_step(closed, 0b001, 0b011, 2) is None
-        assert _branch_step(closed, 0b001, 0b010, 2) == (0, 1, 0b001)
+        assert node_children(monkeypatch, closed, 0b001, 0b011, 2) == []
+        assert node_children(monkeypatch, closed, 0b001, 0b010, 2) == [0b001]
 
-    def test_banned_options_leave_the_packing(self):
-        # P4: the options of 0 and 2 meet in 1; banning 1 separates them
-        closed = closed_neighborhoods(path(4))
-        assert _branch_step(closed, 0b0101, 0, 2) == (0, 1, 0b0011)
-        assert _branch_step(closed, 0b0101, 0b0010, 2) == (0, 2, 0b1101)
+    def test_banned_options_leave_the_packing(self, monkeypatch):
+        # P5, undominated 0, 2 and 4: the options of 0 and 2 meet in 1, so
+        # the packing is 2; banning 1 and 3 separates all three, so two
+        # picks cannot do it
+        closed = closed_neighborhoods(path(5))
+        assert node_children(monkeypatch, closed, 0b10101, 0, 2) == [0b1, 0b10]
+        assert node_children(monkeypatch, closed, 0b10101, 0b01010, 2) == []
+
+    def test_tight_packing_tries_only_packed_options(self, monkeypatch):
+        # undominated 0, 1 and 2 with 2 banned: the options {0, 3, 4} and
+        # {1, 5, 6} pack, and the branch vertex 2 has options {3, 7}.  With
+        # two picks left each falls in a packed set, so 7 is not tried
+        g = from_edge_list(8, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 7)])
+        closed = closed_neighborhoods(g)
+        assert node_children(monkeypatch, closed, 0b111, 0b100, 2) == [1 << 3]
+        assert node_children(monkeypatch, closed, 0b111, 0b100, 3) == [1 << 3, 1 << 7]
 
     def test_last_picks_within_allowed(self):
         closed = closed_neighborhoods(path(3))
-        assert _last_picks(closed, 0b101, 0b111) == 0b010
-        assert _last_picks(closed, 0b101, 0b101) == 0
-        assert _last_picks(closed, 0b010, 0b101) == 0b101
-        assert _last_picks(closed, 0, 0b110) == 0b110
+        assert last_picks(closed, 0b101, 0b111) == [0b010]
+        assert last_picks(closed, 0b101, 0b101) == []
+        assert last_picks(closed, 0b010, 0b101) == [0b001, 0b100]
+        # nothing left to dominate: the node is a cover itself
+        assert last_picks(closed, 0, 0b110) == [0]
+
+
+class TestReferenceRecursion:
+    """``_exists_cover`` reads a node's undominated vertices once.  The
+    reference in conftest takes the same node in two helpers, with a second
+    pass for the memo key; both must collect the same covers through the
+    same number of nodes, for every k, capped at 1, at 2 and uncapped."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return _exists_cover(*args)
+
+        monkeypatch.setattr("unidom.domination._exists_cover", counted)
+        return count
+
+    @staticmethod
+    def assert_same_as_reference(nodes, g, sizes):
+        closed = closed_neighborhoods(g)
+        for size in sizes:
+            for cap in (1, 2, None):
+                nodes[0] = 0
+                covers = _enumerate_covers(closed, g.full_mask, size, cap)
+                expected = reference_enumerate_covers(closed, g.full_mask, size, cap)
+                assert (covers, nodes[0]) == expected, (g.adj, size, cap)
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_graph_atlas(self, nodes):
+        for h in nx.graph_atlas_g():
+            g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+            self.assert_same_as_reference(nodes, g, range(g.n + 1))
+
+    def test_seeded_sweep(self, nodes):
+        rng = random.Random(1597)
+        for i in range(300):
+            n = 6 + i % 15
+            if i % 2:
+                g = random_graph(rng, n, rng.choice([0.1, 0.15, 0.2, 0.3]))
+            else:
+                g = disjoint_pieces(rng, n, bridges=i % 4 == 2)
+            self.assert_same_as_reference(nodes, g, range(min(n, 7) + 1))
 
 
 def disjoint_pieces(rng, n, bridges=False):

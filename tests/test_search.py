@@ -454,7 +454,7 @@ class TestPrefixCut:
                 found, _, timed_out = _scan_block(n, k, s, gamma, stop_on_first=False,
                                                   deadline=None)
                 assert not timed_out
-                assert [g6 for g6, _ in found] == _cap2_filter(n, k, s, gamma), (k, s)
+                assert [emit_graph6(g) for g in found] == _cap2_filter(n, k, s, gamma), (k, s)
 
     def test_deadline_checked_at_prefix_test(self, monkeypatch):
         # the clock passes the deadline right after the walk's start check;
@@ -699,7 +699,7 @@ class TestLevelOrder:
         merged = []
 
         def recording(classes, found, index):
-            merged.extend(g.size() for _, g in found)
+            merged.extend(g.size() for g in found)
             _merge_classes(classes, found, index)
 
         monkeypatch.setattr(search, "_merge_classes", recording)
@@ -740,6 +740,15 @@ class TestMergeClasses:
         result = max_umd_bipartite_size(9, 3)
         assert (result.max_size, result.witnesses) == (10, GOLDEN_COUNTS[(9, 3, 10)])
 
+    def test_graph6_written_once_per_class(self, monkeypatch):
+        # (9,2,14) meets 39 raw witnesses in 18 classes; only the classes
+        # are written
+        written = []
+        monkeypatch.setattr(search, "emit_graph6", lambda g: written.append(g) or emit_graph6(g))
+        result = count_extremal_witnesses(9, 2, 14)
+        assert result.witnesses == GOLDEN_COUNTS[(9, 2, 14)]
+        assert len(written) == 18
+
     def test_shared_key_stays_two_classes(self):
         # C8 and two disjoint C4s land in one key bucket; the match splits them
         c8 = from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)])
@@ -747,8 +756,8 @@ class TestMergeClasses:
                                     (4, 5), (5, 6), (6, 7), (7, 4)])
         c8_again = from_edge_list(8, [(3 * i % 8, (3 * i + 3) % 8) for i in range(8)])
         classes, index = [], {}
-        _merge_classes(classes, [("c8", c8), ("2c4", two_c4), ("c8 again", c8_again)], index)
-        assert [name for name, _ in classes] == ["c8", "2c4"]
+        _merge_classes(classes, [c8, two_c4, c8_again], index)
+        assert len(classes) == 2 and classes[0] is c8 and classes[1] is two_c4
         assert len(index) == 1
         assert [rep for rep, _ in index[_refine(c8)[0]]] == [c8, two_c4]
 
@@ -761,11 +770,9 @@ class TestMergeClasses:
             perm = rng.sample(range(g.n), g.n)
             originals.append(g)
             copies.append(from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-        found = [(f"atlas {i}", g) for i, g in enumerate(originals)]
-        found += [(f"copy {i}", h) for i, h in enumerate(copies)]
         classes, index = [], {}
-        _merge_classes(classes, found, index)
-        assert [name for name, _ in classes] == [f"atlas {i}" for i in range(1253)]
+        _merge_classes(classes, originals + copies, index)
+        assert len(classes) == 1253 and all(c is g for c, g in zip(classes, originals))
         # each copy's bucket holds its original, and no other class there matches
         for g, h in zip(originals, copies):
             key, colors = _refine(h)
