@@ -31,19 +31,27 @@ def phi(n: int, gamma: int) -> int:
 
 
 def bipartite_bound(n: int, gamma: int) -> int:
-    """Conjectured maximum size of a bipartite graph with a unique minimum
-    dominating set, for gamma >= 2 and n >= 3*gamma.
+    """The paper's conjectured maximum size of a bipartite graph with a
+    unique minimum dominating set, as transcribed, for gamma >= 2 and
+    n >= 3*gamma.
 
     Same three-part structure as the displayed formula (base, capped middle
     block, overflow tail); the tail sum is folded to a closed form, and the
     test suite checks it against a term-by-term evaluation of the formula.
 
-    The exhaustive search meets this value at (11, 3) and (12, 3), but at
-    (13, 4) it finds ``L???GOooFg^?~?``: bipartite, 22 edges, and a unique
-    minimum dominating set of 4 vertices, one edge above the 21 given here
-    (a test confirms it by brute force).  Only the paper's abstract is at
-    hand, so whether the conjecture or this transcription of it is off is
-    unknown.
+    Erratum: this is not an upper bound.  The exhaustive search meets it at
+    (11, 3) and (12, 3), but with its order cap raised it finds larger
+    bipartite graphs with a unique minimum dominating set of 4 vertices:
+    ``L???GOooFg^?~?`` at (13, 4), with 22 edges against 21 and not
+    perfectly dominated, and ``N????CKKE?^o~_~_^o?`` at (15, 4), with 35
+    edges against 31 and perfectly dominated.  So restricting to perfect
+    domination, as the paper's constructions are, does not save the
+    formula.  The tests confirm both graphs by brute force.  The known
+    constructions above it are the hub family (the (13, 4) graph is a
+    member) and the one-star family (the (15, 4) graph is one), both
+    defined under Measurements in ROADMAP.md; their builders are item 2
+    there.  Only the paper's abstract is at hand, so whether the conjecture
+    or this transcription of it is off is unknown.
     """
     if gamma < 2:
         raise ValueError("bound requires gamma >= 2 (see star_bound for gamma = 1)")

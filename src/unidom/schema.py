@@ -13,6 +13,15 @@ import re
 
 SCHEMA_ID = "unidom/1"
 
+# the checks every construction certificate holds, in the order they are
+# written; ``bipartite`` joins them when the family has a side
+CERTIFICATE_CHECKS = (
+    "size", "no_isolated_vertices", "intended_set_dominates", "gamma",
+    "unique_minimum_dominating_set", "minimum_set_is_intended",
+    "perfectly_dominated", "closed_neighborhoods_disjoint",
+    "epn_at_least_two_per_dominator",
+)
+
 
 def _err(problems: list[str], cond: bool, msg: str) -> bool:
     if not cond:
@@ -59,6 +68,8 @@ def validate_report(doc) -> list[str]:
     sets = doc.get("min_sets")
     if _err(problems, isinstance(sets, list) and all(_is_vertex_list(s) for s in sets),
             "min_sets must be a list of increasing vertex lists"):
+        # the cap-2 solve lists one or two, and every graph has a minimum set
+        _err(problems, 1 <= len(sets) <= 2, "min_sets must hold one or two sets")
         _err(problems, len({tuple(s) for s in sets}) == len(sets),
              "min_sets entries must be distinct")
         _err(problems, doc.get("unique") == (len(sets) == 1),
@@ -143,9 +154,12 @@ def validate_document(doc) -> list[str]:
                 _validate_bound_row(row, problems)
     elif kind == "certificate":
         _err(problems, isinstance(doc.get("passed"), bool), "passed must be a bool")
-        every = _conjunction(doc.get("checks"), "checks", "passed", problems)
+        checks = doc.get("checks")
+        every = _conjunction(checks, "checks", "passed", problems)
         if every is not None:
             _err(problems, doc.get("passed") == every, "passed must be the AND of the checks")
+            _err(problems, set(checks) - {"bipartite"} == set(CERTIFICATE_CHECKS),
+                 "checks must name every certificate check, and no other but bipartite")
     elif kind == "verify":
         report_problems = validate_report(doc.get("report"))
         problems += report_problems

@@ -30,13 +30,14 @@ decreasing lex order, so the first member of an orbit it meets is the
 lex-max one, which both rules keep; the witnesses it finds first, and so
 every class representative, are the same as without the rules.
 
-The per-matrix path is kept lean: the walk's row tables are built once per
-column count, the last row is read from the rows of the weight still
-needed, and ``closed`` is carried down the walk, each fixed row adding its
-vertex to its columns once per prefix.  The witness test is one solve, the
-cap-2 cover collection at gamma.  The walk also skips every prefix whose
-completions that test would all reject (see ``_double_lex_matrices``), so
-the witnesses come in the same order as over the full double-lex sequence.
+The per-matrix path is kept lean: the row tables are built once per column
+count, one candidate loop places every row, the last from the rows of the
+weight still needed, and ``closed``, which shows whether column 0 is filled,
+is carried down the walk, each accepted row adding its vertex to its
+columns.  The witness test is one solve, the cap-2 cover collection at
+gamma.  The walk also skips every prefix whose completions that test would
+all reject (see ``_double_lex_matrices``), so the witnesses come in the same
+order as over the full double-lex sequence.
 
 Work is split into (side size, edge count) blocks.  One sequential driver
 serves both searches and scans each edge-count level over every side
@@ -152,11 +153,11 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
 
     Row i is the q-bit integer whose bit j is entry (i, j).  Double-lex form
     means the rows are nonincreasing as integers and each column j, read top
-    to bottom, is lexicographically at most column j+1.  Rows are chosen top
-    to bottom; ``tied`` keeps bit j set while columns j and j+1 are still
-    equal, which is when a row may not put a one in column j without one in
-    column j+1.  The last row must hold exactly the ones left, so it is
-    taken from the rows of that weight without another level of recursion.
+    to bottom, is lexicographically at most column j+1.  One loop places the
+    rows top to bottom; ``tied`` keeps bit j set while columns j and j+1 are
+    still equal, which is when a row may not put a one in column j without
+    one in column j+1.  The last row must hold exactly the ones left, so it
+    is taken from the rows of that weight, at most the row above, as a leaf.
 
     Two lex-leader rules skip every matrix that is not the lex-max member
     of its orbit under row and column permutations, the matrix read as its
@@ -178,9 +179,10 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
     so the first member of each orbit it reaches is the lex-max one, and
     the rules never move a first find.
 
-    Row i is vertex i and column j is vertex k + j.  Each chosen row adds
-    its vertex to the closed neighborhoods of its columns once, in a copy
-    for the subtree below it, so each yielded list is the caller's to keep.
+    Row i is vertex i and column j is vertex k + j.  Each accepted row adds
+    its vertex to its columns' closed neighborhoods in a copy made after
+    every filter, so each yielded list is the caller's to keep.  Column 0 is
+    the least column: none is empty iff vertex k's list is not k alone.
 
     A prefix is cut when the graph H on its fixed rows and all q columns has
     a dominating set D of at most gamma - t vertices, t >= 1 being the rows
@@ -194,8 +196,8 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
     has a single row, adjacent to every column, or a single column, so a
     one-pick test would seldom cut.  At gamma = 2 nothing is cut.
 
-    Raises TimeoutError once ``deadline`` has passed, checked at the start,
-    at each prefix test and at each matrix.
+    Raises TimeoutError once ``deadline`` has passed, checked at the start
+    and at each accepted row that ends a matrix or faces a prefix test.
     """
     if deadline is not None and time.monotonic() >= deadline:
         raise TimeoutError
@@ -203,43 +205,24 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
         return
     weight, most, by_weight, ones = _row_tables(q)
     span = q + 1
-    last = k - 1
     columns = ((1 << q) - 1) << k
 
-    def with_row(closed: list[int], i: int, r: int) -> list[int]:
-        bit = 1 << i
-        closed = closed.copy()
-        closed[i] = r << k | bit
-        for j in ones[r]:
-            closed[k + j] |= bit
-        return closed
-
-    def extend(i: int, prev: int, tied: int, left: int, cols: int, closed: list[int],
+    def extend(i: int, prev: int, tied: int, left: int, closed: list[int],
                top: int, ceiling: int):
         # top is row 0 and ceiling the rank of row 1; until they are placed,
         # all ones and a rank no row exceeds.  A rank is kept as one number,
         # ones inside row 0 then ones in all, which orders rows as
         # (inside, outside) does
-        if i == last:
-            # the rows above can leave more ones than row 0 holds
-            if left > weight[top]:
-                return
-            for r in by_weight[left]:
-                # column 0 is the least column: no column is empty iff it is not
-                if r > prev or r & ~(r >> 1) & tied or not (cols | r) & 1:
-                    continue
-                if weight[r & top] * span + left > ceiling:
-                    continue
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError
-                yield with_row(closed, i, r)
-            return
         rows_left = k - i
         free = rows_left - 1
-        test = gamma - free >= 2
+        test = free and gamma - free >= 2
+        timed = deadline is not None and (test or not free)
         prefix_full = (2 << i) - 1 | columns
         heaviest = weight[top]
-        for r in range(prev, 0, -1):
+        bit = 1 << i
+        for r in range(prev, 0, -1) if free else by_weight[left]:
+            if not free and (r > prev or not r & 1 and closed[k] == 1 << k):
+                continue
             if left > rows_left * most[r]:
                 break
             if r & ~(r >> 1) & tied:
@@ -253,16 +236,19 @@ def _double_lex_matrices(k: int, q: int, s: int, gamma: int,
             rest = left - w
             if not free <= rest <= free * heaviest:
                 continue
-            prefix = with_row(closed, i, r)
-            if test:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError
-                if _enumerate_covers(prefix, prefix_full, gamma - free, cap=1):
-                    continue
-            yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, cols | r, prefix,
-                              r if i == 0 else top, rank if i == 1 else ceiling)
+            if timed and time.monotonic() >= deadline:
+                raise TimeoutError
+            prefix = closed.copy()
+            prefix[i] = r << k | bit
+            for j in ones[r]:
+                prefix[k + j] |= bit
+            if not free:
+                yield prefix
+            elif not (test and _enumerate_covers(prefix, prefix_full, gamma - free, cap=1)):
+                yield from extend(i + 1, r, tied & ~(r ^ (r >> 1)), rest, prefix,
+                                  r if i == 0 else top, rank if i == 1 else ceiling)
 
-    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s, 0,
+    yield from extend(0, (1 << q) - 1, (1 << (q - 1)) - 1, s,
                       [0] * k + [1 << v for v in range(k, k + q)],
                       (1 << q) - 1, q * span + q)
 

@@ -15,6 +15,12 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
+try:
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+except ImportError:  # test-only oracle
+    milp = None
+
 from unidom import Graph, from_edge_list, iter_bits, mask_of
 
 
@@ -49,6 +55,35 @@ def naive_minimum_dominating_sets(g: Graph) -> list[int]:
         if covered == full:
             out.append(mask_of(combo))
     return sorted(out)
+
+
+needs_milp = pytest.mark.skipif(milp is None, reason="scipy is not installed")
+
+
+def milp_unique(g: Graph) -> tuple[int, int, bool]:
+    """(gamma, a minimum dominating set, whether it is the only one), from
+    two integer programs over ``g.adj`` alone.
+
+    The first minimizes sum(x) subject to N[v] . x >= 1 for every v.  The
+    second adds sum(x) <= gamma and the no-good cut sum(x_v, v in S) <=
+    gamma - 1 on the set S found first; it is infeasible exactly when no
+    other dominating set of gamma vertices exists.
+    """
+    n = g.n
+    closed = np.array([[(g.adj[v] | 1 << v) >> u & 1 for u in range(n)] for v in range(n)])
+    binary = {"c": np.ones(n), "integrality": np.ones(n), "bounds": Bounds(0, 1)}
+    cover = LinearConstraint(closed, lb=1, ub=np.inf)
+    first = milp(constraints=[cover], **binary)
+    assert first.status == 0, first.message
+    picks = [v for v in range(n) if first.x[v] > 0.5]
+    gamma = len(picks)
+    assert gamma == round(first.fun)
+    cut = LinearConstraint(np.array([np.ones(n), [v in picks for v in range(n)]]),
+                           lb=-np.inf, ub=[gamma, gamma - 1])
+    second = milp(constraints=[cover, cut], **binary)
+    # HiGHS reports 0 for a solution found and 2 for proven infeasibility
+    assert second.status in (0, 2), second.message
+    return gamma, mask_of(picks), second.status == 2
 
 
 def perfect_by_degree_sum(g: Graph, d: int) -> bool:

@@ -10,7 +10,9 @@ from unidom import (
     find_bipartition,
     fischermann_bound,
     is_umd,
+    mask_of,
     n3g_bound,
+    parse_graph6,
     phi,
     star_bound,
     vizing_bound,
@@ -21,7 +23,9 @@ from conftest import (
     bipartite_bound_gamma2,
     gamma2_case_bounds,
     gamma2_m2_strict,
+    milp_unique,
     min_forest_edges,
+    needs_milp,
     tau,
 )
 from test_search import _graph, _unreduced_scan
@@ -159,6 +163,30 @@ class TestBipartiteBound:
         assert sorted(len(side) for side in nx.bipartite.sets(h)) == [6, 7]
         assert brute_dominating_sets(h, 4) == [{4, 5, 8, 9}]
         assert h.number_of_edges() == 22 == bipartite_bound(13, 4) + 1
+
+    @pytest.mark.skipif(nx is None, reason="networkx is not installed")
+    def test_exceeded_at_15_4_when_perfect(self):
+        # the (15,4) maximum, found with the search's cap raised: perfectly
+        # dominated, and four edges above the formula
+        h = nx.from_graph6_bytes(b"N????CKKE?^o~_~_^o?")
+        assert h.number_of_nodes() == 15 and nx.is_connected(h)
+        assert nx.is_bipartite(h)
+        assert sorted(len(side) for side in nx.bipartite.sets(h)) == [7, 8]
+        assert min(d for _, d in h.degree()) >= 1
+        assert brute_dominating_sets(h, 4) == [{6, 8, 9, 10}]
+        # pairwise disjoint closed neighborhoods: their sizes add up to n
+        assert sum(len(h[v]) + 1 for v in (6, 8, 9, 10)) == 15
+        assert h.number_of_edges() == 35 == bipartite_bound(15, 4) + 4
+
+    @needs_milp
+    @pytest.mark.parametrize("line, dominators", [
+        ("L???GOooFg^?~?", [4, 5, 8, 9]),
+        ("N????CKKE?^o~_~_^o?", [6, 8, 9, 10]),
+    ], ids=["13_4", "15_4"])
+    def test_counterexamples_agree_with_milp(self, line, dominators):
+        g = parse_graph6(line)
+        assert milp_unique(g) == (4, mask_of(dominators), True)
+        assert is_umd(g).min_sets == [mask_of(dominators)]
 
 
 class TestGamma2ClosedForm:

@@ -21,7 +21,13 @@ from unidom import (
     parse_graph6,
 )
 from unidom.cli import main
-from unidom.schema import validate_document, validate_report
+from unidom.construct import (
+    construct_bipartite,
+    construct_fischermann,
+    construct_star,
+    verify_construction,
+)
+from unidom.schema import CERTIFICATE_CHECKS, validate_document, validate_report
 
 from conftest import (
     graphs,
@@ -844,9 +850,17 @@ _VALID = {
                       "gamma": 2, "size": 6, "count": 2, "witnesses": ["ECr_", "EDr?"],
                       "graphs_scanned": 5, "masks_visited": 3, "elapsed": 0.01,
                       "complete": True},
+    # every check a bipartite family member's certificate holds
     "certificate": {"schema": "unidom/1", "kind": "certificate", "passed": True,
-                    "checks": {"size": {"passed": True, "expected": 6, "actual": 6},
-                               "gamma": {"passed": True, "expected": 2, "actual": 2}}},
+                    "checks": {name: {"passed": True, "expected": True, "actual": True}
+                               for name in ("size", "no_isolated_vertices",
+                                            "intended_set_dominates", "gamma",
+                                            "unique_minimum_dominating_set",
+                                            "minimum_set_is_intended",
+                                            "perfectly_dominated",
+                                            "closed_neighborhoods_disjoint",
+                                            "epn_at_least_two_per_dominator",
+                                            "bipartite")}},
 }
 
 
@@ -888,8 +902,8 @@ def test_schema_checks_witness_consistency(kind, fields, message):
         assert any(message in p for p in problems), problems
 
 
-_FAILED_SIZE = {"size": {"passed": False, "expected": 6, "actual": 5},
-                "gamma": {"passed": True, "expected": 2, "actual": 2}}
+_CHECKS = _VALID["certificate"]["checks"]
+_FAILED_SIZE = {**_CHECKS, "size": {"passed": False, "expected": 6, "actual": 5}}
 _GAMMA_MET = {"gamma": {"expected": 2, "actual": 2, "ok": True}}
 _GAMMA_MISSED = {"gamma": {"expected": 3, "actual": 2, "ok": False}}
 _TWO_SETS = {"unique": False, "min_sets": [[0, 1], [0, 2]], "epn": {},
@@ -921,6 +935,14 @@ _TWO_SETS = {"unique": False, "min_sets": [[0, 1], [0, 2]], "epn": {},
     ("search", {"elapsed": 0}, {}, None),
     ("witness_count", {"elapsed": None}, {}, "elapsed"),
     ("witness_count", {"elapsed": float("inf")}, {}, "elapsed"),
+    # a certificate names every check; bipartite is the one it may lack
+    ("certificate", {"checks": {}}, {}, "name every certificate check"),
+    ("certificate", {"checks": {k: v for k, v in _CHECKS.items() if k != "gamma"}}, {},
+     "name every certificate check"),
+    ("certificate", {"checks": {**_CHECKS, "connected": {"passed": True}}}, {},
+     "name every certificate check"),
+    ("certificate", {"checks": {k: v for k, v in _CHECKS.items() if k != "bipartite"}}, {},
+     None),
 ])
 def test_schema_checks_verdict_consistency(kind, fields, report, message):
     doc = json.loads(json.dumps(_VALID[kind]))
@@ -959,6 +981,9 @@ def test_schema_checks_verdict_consistency(kind, fields, report, message):
     ({"epn": {"0": [2, 3], "1": [3, 4]}}, "pairwise disjoint"),
     ({"epn": {"0": [1, 2], "1": [4, 5]}}, "avoid the unique minimum set"),
     ({**_TWO_SETS, "min_sets": [[0, 1], [0, 1]]}, "must be distinct"),
+    # the cap-2 solve lists one or two sets, and never none
+    ({**_TWO_SETS, "min_sets": []}, "one or two sets"),
+    ({**_TWO_SETS, "min_sets": [[0, 1], [0, 2], [1, 2]]}, "one or two sets"),
 ])
 def test_schema_ties_the_report_to_its_minimum_sets(report, message):
     problems = validate_report({**_VALID["verify"]["report"], **report})
@@ -966,6 +991,17 @@ def test_schema_ties_the_report_to_its_minimum_sets(report, message):
         assert problems == []
     else:
         assert any(message in p for p in problems), problems
+
+
+@pytest.mark.parametrize("g, layout", [
+    construct_bipartite(12, 3),
+    construct_fischermann(13, 4),
+    construct_star(5),
+], ids=["bipartite", "fischermann", "star"])
+def test_schema_names_the_checks_verify_construction_writes(g, layout):
+    # the schema imports nothing from the package, so its list is pinned here
+    side = ["bipartite"] if layout.partition is not None else []
+    assert list(verify_construction(g, layout, g.size()).checks) == [*CERTIFICATE_CHECKS, *side]
 
 
 @given(graphs(max_n=8))

@@ -22,11 +22,14 @@ from unidom import (
     verify_construction,
 )
 from unidom.construct import ConstructionLayout
+from unidom.schema import validate_document
 
 from conftest import (
     FAMILY_GRID,
     assert_unique_domination_theory,
     degree_sequence,
+    milp_unique,
+    needs_milp,
     perfect_by_degree_sum,
     perfect_by_structure,
     reference_bipartite_edge_groups,
@@ -374,6 +377,34 @@ class TestVerifyConstruction:
         assert doc["checks"]["size"]["passed"] is True
 
 
+def _agrees_with_milp(g, layout):
+    gamma, found, unique = milp_unique(g)
+    report = is_umd(g)
+    assert (gamma, unique) == (report.gamma, report.unique)
+    assert [found] == report.min_sets == [layout.intended_dominators]
+
+
+@needs_milp
+@pytest.mark.parametrize("builder", [construct_bipartite, construct_fischermann],
+                         ids=["bipartite", "fischermann"])
+class TestMilpOracle:
+    """An integer program over the adjacency rows alone, with no unidom
+    solver, settles gamma and uniqueness; it must agree with ``is_umd`` and
+    find the intended set."""
+
+    def test_families_every_gamma(self, builder):
+        # 116 members: every gamma 2..21 at its smallest order, five and ten above
+        for gamma in range(2, 22):
+            for n in sorted({3 * gamma, min(3 * gamma + 5, 64), min(3 * gamma + 10, 64)}):
+                _agrees_with_milp(*builder(n, gamma))
+
+    @pytest.mark.extended
+    def test_families_to_64(self, builder):
+        for gamma in range(2, 22):
+            for n in range(3 * gamma, 65):
+                _agrees_with_milp(*builder(n, gamma))
+
+
 def recomputed_set_checks(g, s, gamma):
     """The certificate's entries that depend on the intended set ``s``,
     recomputed from the definitions: domination, perfection, pairwise
@@ -425,7 +456,7 @@ def test_set_checks_match_recomputation(builder, bound):
         g, layout = builder(n, gamma)
         d = layout.intended_dominators
         doc = verify_construction(g, layout, bound(n, gamma)).to_json()
-        assert doc["passed"], (n, gamma)
+        assert doc["passed"] and validate_document(doc) == [], (n, gamma)
         checks = doc["checks"]
         assert {k: checks[k] for k in recomputed_set_checks(g, d, gamma)} == \
             recomputed_set_checks(g, d, gamma)

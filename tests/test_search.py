@@ -25,7 +25,7 @@ from unidom.graph import _match, _refine, emit_graph6, from_edge_list
 from unidom import search
 from unidom.search import _double_lex_matrices, _merge_classes, _scan_block
 
-from conftest import verify_forest_lemma
+from conftest import milp_unique, needs_milp, verify_forest_lemma
 
 try:
     import networkx as nx
@@ -735,6 +735,15 @@ class TestMergeClasses:
     @pytest.mark.parametrize("n,gamma,size", sorted(GOLDEN_COUNTS))
     def test_golden_witness_lists(self, n, gamma, size):
         assert count_extremal_witnesses(n, gamma, size).witnesses == GOLDEN_COUNTS[(n, gamma, size)]
+
+    @needs_milp
+    @pytest.mark.parametrize("n,gamma,size", sorted(GOLDEN_COUNTS))
+    def test_golden_witnesses_agree_with_milp(self, n, gamma, size):
+        for line in GOLDEN_COUNTS[(n, gamma, size)]:
+            g = parse_graph6(line)
+            found_gamma, found, unique = milp_unique(g)
+            assert (g.n, g.size(), found_gamma, unique) == (n, size, gamma, True), line
+            assert is_umd(g).min_sets == [found], line
 
     def test_golden_9_3_maximum(self):
         result = max_umd_bipartite_size(9, 3)
